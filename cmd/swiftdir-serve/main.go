@@ -56,6 +56,25 @@ import (
 	"repro/internal/stats"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to finish sending
+// its request headers, and an idle keep-alive connection is closed after
+// idleTimeout, so slow or abandoned clients cannot pin connections
+// forever. Bodies and responses are not bounded here: a run's compute
+// time is governed by -job-timeout and the per-request timeout_ms.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the server's connection policy.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -126,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logf("%v", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	logf("listening on %s (cache: mem=%d dir=%q, workers=%d, queue=%d)",
 		ln.Addr(), *cacheMem, *cacheDir, *workers, *queue)
 

@@ -159,6 +159,21 @@ func NewArray(p Params) *Array {
 	return a
 }
 
+// Reset empties the array and zeroes its replacement state and statistics,
+// leaving it exactly as NewArray built it without reallocating. Every line
+// a run ever touched was installed first, and Install always advances the
+// clock, so an array whose clock is still zero holds only zero lines and
+// its storage is left untouched.
+func (a *Array) Reset() {
+	if a.clock != 0 {
+		for _, set := range a.lines {
+			clear(set)
+		}
+	}
+	a.clock, a.rng = 0, 0
+	a.Hits, a.Misses, a.Evictions = 0, 0, 0
+}
+
 // Params returns the geometry the array was built with.
 func (a *Array) Params() Params { return a.params }
 

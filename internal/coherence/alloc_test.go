@@ -8,6 +8,7 @@
 package coherence
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -98,5 +99,31 @@ func TestFastPathZeroAlloc(t *testing.T) {
 	}
 	if after := s.L1s[0].Stats.FastHits; after-before < 500 {
 		t.Fatalf("fast path fired %d times during the alloc run, want >= 500", after-before)
+	}
+}
+
+// TestResetZeroAlloc pins System.Reset at zero allocations on a system
+// interrupted mid-run. The first reset may grow the free lists that take
+// back live MSHRs, transactions and directory entries; replaying the
+// same traffic afterwards needs no more of them, so every later reset
+// must allocate nothing. Mallocs are counted around the Reset call alone.
+func TestResetZeroAlloc(t *testing.T) {
+	for _, cfg := range []SystemConfig{testConfig(MESI, 4), clusterTestConfig(SwiftDir, 4, 2)} {
+		s := MustNewSystem(cfg)
+		var before, after runtime.MemStats
+		for round := 0; round < 4; round++ {
+			if !dirtyUntil(s, holdsWriteback) {
+				t.Fatal("the burst drained before reaching the reset point")
+			}
+			runtime.ReadMemStats(&before)
+			err := s.Reset()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; round > 0 && n != 0 {
+				t.Fatalf("clusters=%d round %d: Reset allocated %d objects, want 0", cfg.Clusters, round, n)
+			}
+		}
 	}
 }

@@ -140,23 +140,47 @@ type bank struct {
 
 func newBank(id int, sys *System, params cache.Params) *bank {
 	lines := params.SizeBytes / params.BlockSize
-	esz := lines / 4
-	if esz < 256 {
-		esz = 256
-	}
+	// Entries are the sidecars of LLC-resident blocks, so there are never
+	// more of them than the bank has lines. Transactions and pins are
+	// per block too; a bank with few lines is sized for few of them (the
+	// maps still grow if a run needs more).
+	esz := min(max(lines/4, 256), lines)
 	arb, _ := sys.Policy.(Arbiter)
-	return &bank{
+	b := &bank{
 		id:      id,
 		sys:     sys,
 		engine:  sys.engineForBank(id),
 		tab:     sys.table,
 		arr:     cache.NewArray(params),
 		entries: make(map[cache.Addr]*dirEntry, esz),
-		busy:    make(map[cache.Addr]*txn, 256),
-		pinned:  make(map[cache.Addr]int, 64),
+		busy:    make(map[cache.Addr]*txn, min(256, esz)),
+		pinned:  make(map[cache.Addr]int, min(64, esz)),
 		image:   make(map[cache.Addr]uint64),
 		arb:     arb,
 	}
+	b.reset()
+	return b
+}
+
+// reset sets the bank's initial mutable state — the one place that
+// defines it, for construction and System.Reset alike. Live directory
+// entries and transactions return to their free lists, and every map
+// keeps its storage.
+func (b *bank) reset() {
+	b.arr.Reset()
+	for _, e := range b.entries {
+		b.entryFree = append(b.entryFree, e)
+	}
+	clear(b.entries)
+	for _, t := range b.busy {
+		b.freeTxn(t)
+	}
+	clear(b.busy)
+	clear(b.pinned)
+	clear(b.image)
+	b.lastAddr, b.lastEnt = 0, nil
+	b.arbPromotions = 0
+	b.Stats = BankStats{}
 }
 
 // entry looks up the directory entry for addr through the one-entry cache.

@@ -78,7 +78,17 @@ func newHub(id int, sys *System) *hub {
 		upReqs:  make(map[cache.Addr]int, 32),
 	}
 	h.direct = hubDirect{h: h}
+	h.reset()
 	return h
+}
+
+// reset sets the hub's initial mutable state — the one place that defines
+// it, for construction and System.Reset alike — keeping the maps' storage.
+func (h *hub) reset() {
+	clear(h.record)
+	clear(h.pending)
+	clear(h.upReqs)
+	h.faultFree = 0
 }
 
 // base returns the cluster's first global L1 id.

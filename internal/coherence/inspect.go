@@ -1,7 +1,7 @@
 package coherence
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
@@ -45,11 +45,18 @@ func (s *System) BankArray(i int) *cache.Array { return s.banks[i].arr }
 
 // sortedAddrs collects and sorts the keys of an address-keyed map.
 func sortedAddrs[V any](m map[cache.Addr]V) []cache.Addr {
-	addrs := make([]cache.Addr, 0, len(m))
+	return appendSortedAddrs(nil, m)
+}
+
+// appendSortedAddrs appends m's keys to addrs and sorts the whole slice.
+func appendSortedAddrs[V any](addrs []cache.Addr, m map[cache.Addr]V) []cache.Addr {
+	if len(m) == 0 {
+		return addrs
+	}
 	for a := range m {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	return addrs
 }
 
@@ -123,14 +130,12 @@ func (s *System) ForEachPinned(fn func(bank int, addr cache.Addr, n int)) {
 // the initial image, in ascending address order. The shadow is partitioned
 // per bank (see bank.image); this merges the slices.
 func (s *System) ForEachMemImage(fn func(addr cache.Addr, v uint64)) {
-	merged := make(map[cache.Addr]uint64)
+	var addrs []cache.Addr
 	for _, b := range s.banks {
-		for a, v := range b.image {
-			merged[a] = v
-		}
+		addrs = appendSortedAddrs(addrs, b.image)
 	}
-	for _, addr := range sortedAddrs(merged) {
-		fn(addr, merged[addr])
+	for _, addr := range addrs {
+		fn(addr, s.bankFor(addr).image[addr])
 	}
 }
 

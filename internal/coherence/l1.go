@@ -188,7 +188,7 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 	if msz < 16 {
 		msz = 16
 	}
-	return &L1{
+	l := &L1{
 		ID:        id,
 		sys:       sys,
 		eng:       sys.engineForL1(id),
@@ -200,6 +200,28 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		wb:        make(map[cache.Addr]wbEntry, 64),
 		storeSeqs: make(map[cache.Addr]uint64, msz),
 	}
+	l.reset()
+	return l
+}
+
+// reset sets the controller's initial mutable state — the one place that
+// defines it, for construction and System.Reset alike. Outstanding MSHRs
+// return to the free list and every map keeps its storage. The access
+// slot pool is truncated rather than free-listed, so slot indexes (which
+// ride in event payloads) are handed out 0, 1, 2, ... exactly as on a
+// fresh controller.
+func (l *L1) reset() {
+	l.arr.Reset()
+	for _, ms := range l.mshrs {
+		l.freeMSHR(ms)
+	}
+	clear(l.mshrs)
+	clear(l.wb)
+	clear(l.storeSeqs)
+	clear(l.accs)
+	l.accs = l.accs[:0]
+	l.accFree = l.accFree[:0]
+	l.Stats = L1Stats{}
 }
 
 // toDir schedules delivery of m toward the owning bank (adds Hop via the

@@ -125,11 +125,17 @@ func planWorkload(cores, perCore int, seed uint64) [][]plannedAccess {
 // by core id.
 func runConcurrentWorkload(t *testing.T, cfg SystemConfig, seed uint64, perCore int) sysFingerprint {
 	t.Helper()
-	s := MustNewSystem(cfg)
-	plans := planWorkload(cfg.NumL1, perCore, seed)
-	perCoreResults := make([][]AccessResult, cfg.NumL1)
-	next := make([]int, cfg.NumL1)
-	for c := 0; c < cfg.NumL1; c++ {
+	return driveConcurrentWorkload(t, MustNewSystem(cfg), seed, perCore)
+}
+
+// driveConcurrentWorkload is runConcurrentWorkload on an existing system.
+func driveConcurrentWorkload(t *testing.T, s *System, seed uint64, perCore int) sysFingerprint {
+	t.Helper()
+	cores := len(s.L1s)
+	plans := planWorkload(cores, perCore, seed)
+	perCoreResults := make([][]AccessResult, cores)
+	next := make([]int, cores)
+	for c := 0; c < cores; c++ {
 		c := c
 		var issue func()
 		issue = func() {

@@ -497,6 +497,45 @@ func MustNewSystem(cfg SystemConfig) *System {
 	return s
 }
 
+// Reset puts the system back into exactly the state NewSystem left it in
+// — engine at cycle 0 with nothing pending, empty caches, directory, hubs
+// and memory image, idle fabric and DRAM, zeroed statistics and message
+// accounting, no tracer — while keeping every allocation, so a caller
+// that runs many short simulations on one configuration (the model
+// checker replays one per explored edge) pays for construction once.
+// Reset itself allocates nothing. The exported observation hooks (Record,
+// Observe, ObserveCPU, ObservePost, ObserveCPUPost) are the caller's
+// configuration and are kept.
+//
+// A sharded system, or one built with a fault injector (whose plan state
+// advances with the run), cannot be reset and returns an error.
+func (s *System) Reset() error {
+	if s.sh != nil {
+		return fmt.Errorf("coherence: Reset of a sharded system")
+	}
+	if s.faults != nil {
+		return fmt.Errorf("coherence: Reset of a system with a fault injector")
+	}
+	s.Eng.Reset()
+	s.Mem.Reset()
+	s.net.Reset()
+	for _, h := range s.hubs {
+		h.reset()
+	}
+	for _, b := range s.banks {
+		b.reset()
+	}
+	for _, l1 := range s.L1s {
+		l1.reset()
+	}
+	s.tracer = nil
+	clear(s.msgCounts[:])
+	clear(s.lastMsgs[:])
+	s.msgPos = 0
+	s.fpDone = false
+	return nil
+}
+
 func (s *System) bankFor(addr cache.Addr) *bank {
 	return s.banks[s.mapper.Bank(addr)]
 }

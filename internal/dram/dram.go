@@ -133,6 +133,7 @@ func New(cfg Config) *Memory {
 	for i := range m.channels {
 		m.channels[i].banks = make([]bank, cfg.Ranks*cfg.BanksPerRank)
 	}
+	m.Reset()
 	return m
 }
 
@@ -246,10 +247,14 @@ func (m *Memory) AvgLatency() float64 {
 	return float64(m.TotalServiceCycles) / float64(n)
 }
 
-// Reset clears bank state and statistics, as if the memory were idle.
+// Reset clears bank state and statistics in place, as if the memory were
+// idle and freshly built. It allocates nothing. The Extra hook is
+// configuration, not state, and is kept.
 func (m *Memory) Reset() {
 	for i := range m.channels {
-		m.channels[i] = channel{banks: make([]bank, m.cfg.Ranks*m.cfg.BanksPerRank)}
+		ch := &m.channels[i]
+		clear(ch.banks)
+		ch.busFreeAt = 0
 	}
 	m.Reads, m.Writes = 0, 0
 	m.RowHits, m.RowMisses, m.RowConflicts, m.RefreshStalls = 0, 0, 0, 0

@@ -29,6 +29,12 @@ type Fabric interface {
 	// AvgQueueing returns the mean queueing delay per message beyond the
 	// unloaded latency.
 	AvgQueueing() float64
+
+	// Reset returns the fabric to the state its constructor leaves it in:
+	// idle ports and links, zeroed statistics, and (for a jittered
+	// crossbar) the jitter stream restarted from its seed. It allocates
+	// nothing.
+	Reset()
 }
 
 var (

@@ -94,9 +94,20 @@ func New(eng *sim.Engine, cfg Config) (*Crossbar, error) {
 		rxFreeAt: make([]sim.Cycle, cfg.Ports),
 	}
 	if cfg.JitterMax > 0 {
-		x.rng = sim.NewRNG(cfg.JitterSeed | 1)
+		x.rng = &sim.RNG{}
 	}
+	x.Reset()
 	return x, nil
+}
+
+// Reset implements Fabric.
+func (x *Crossbar) Reset() {
+	clear(x.txFreeAt)
+	clear(x.rxFreeAt)
+	if x.rng != nil {
+		x.rng.Seed(x.cfg.JitterSeed | 1)
+	}
+	x.Messages, x.QueuedCycles, x.MaxQueue = 0, 0, 0
 }
 
 // Config returns the crossbar configuration.

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +184,38 @@ func TestNilExtraKeepsPureLatencyPath(t *testing.T) {
 	}
 	if x.QueuedCycles != 0 {
 		t.Fatal("pure-latency path did port bookkeeping")
+	}
+}
+
+// Reset restarts a jittered crossbar exactly as New built it: idle ports,
+// zeroed statistics, and the jitter stream from its seed, so the same
+// traffic arrives at the same cycles again.
+func TestCrossbarResetRestartsJitter(t *testing.T) {
+	burst := func(eng *sim.Engine, x *Crossbar) []sim.Cycle {
+		var arrivals []sim.Cycle
+		for i := 0; i < 32; i++ {
+			x.Send(i%4, (i+1)%4, func() { arrivals = append(arrivals, eng.Now()) })
+		}
+		eng.Run()
+		return arrivals
+	}
+	cfg := Config{Ports: 4, Latency: 3, Occupancy: 1, JitterMax: 6, JitterSeed: 9}
+	eng := sim.NewEngine()
+	x := mustNew(t, eng, cfg)
+	first := burst(eng, x)
+
+	cfg.JitterMax = 0
+	plainEng := sim.NewEngine()
+	if plain := burst(plainEng, mustNew(t, plainEng, cfg)); slices.Equal(plain, first) {
+		t.Fatal("jitter changed no arrival; the jitter stream is not exercised")
+	}
+
+	eng.Reset()
+	x.Reset()
+	if x.Messages != 0 || x.QueuedCycles != 0 || x.MaxQueue != 0 {
+		t.Fatalf("stats after Reset: %d messages, %d queued, max %d", x.Messages, x.QueuedCycles, x.MaxQueue)
+	}
+	if again := burst(eng, x); !slices.Equal(again, first) {
+		t.Fatalf("arrivals after Reset %v, before %v", again, first)
 	}
 }

@@ -133,7 +133,16 @@ func NewMesh(eng *sim.Engine, cfg MeshConfig) (*Mesh, error) {
 		m.rxFreeAt = make([]sim.Cycle, cfg.Ports)
 		m.linkFreeAt = make([]sim.Cycle, cfg.W*cfg.H*linkDirs)
 	}
+	m.Reset()
 	return m, nil
+}
+
+// Reset implements Fabric.
+func (m *Mesh) Reset() {
+	clear(m.txFreeAt)
+	clear(m.rxFreeAt)
+	clear(m.linkFreeAt)
+	m.Messages, m.HopsTotal, m.QueuedCycles, m.MaxQueue = 0, 0, 0, 0
 }
 
 // Config returns the mesh configuration.

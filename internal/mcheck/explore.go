@@ -81,16 +81,18 @@ func (c *checker) explore() *Result {
 	res := &Result{}
 
 	root := &node{}
-	rootRunner := c.newRunner()
-	if v := rootRunner.checkState(); v != nil {
+	// One runner serves every edge: it is reset to the root state and
+	// the edge's path is replayed.
+	r := c.newRunner()
+	if v := r.checkState(); v != nil {
 		// A fresh idle system violating an invariant means the harness
 		// itself is broken; surface it as a zero-action counterexample.
 		res.Violation = c.counterexample(nil, v)
 		return res
 	}
-	summarize(root, rootRunner)
+	summarize(root, r)
 
-	seen := map[fp]struct{}{c.fingerprint(rootRunner): {}}
+	seen := map[fp]struct{}{c.fingerprint(r): {}}
 	queue := []*node{root}
 	res.States = 1
 	res.Quiescent = 1
@@ -107,12 +109,13 @@ func (c *checker) explore() *Result {
 		pathBuf = n.path(pathBuf)
 		for _, a := range actions {
 			res.Edges++
-			r := c.newRunner()
+			r.reset()
 			for i, pa := range pathBuf {
 				r.apply(pa)
 				if r.vio != nil {
 					// The prefix was violation-free when first explored;
-					// a violation during replay means determinism broke.
+					// a violation during replay means determinism broke
+					// (or reset left state behind).
 					res.Violation = c.counterexample(pathBuf[:i+1], &Violation{
 						Kind: "nondeterminism",
 						Detail: fmt.Sprintf(

@@ -22,13 +22,18 @@
 //
 // The checker explores by replay: the deterministic engine makes an
 // action sequence a complete description of a state, so a BFS node is
-// just a parent pointer and one action. States are deduplicated by a
+// just a parent pointer and one action. Each explored edge resets one
+// machine in place (coherence.System.Reset keeps every allocation) and
+// replays the parent's path plus the new action; a whole Run builds the
+// system once. Replaying a prefix that raised no violation when first
+// explored must raise none again, so a reset that left state behind
+// surfaces as a "nondeterminism" violation. States are deduplicated by a
 // canonical 128-bit fingerprint that includes all behaviorally relevant
 // state (arrays, MSHRs, directory entries, in-flight transactions,
 // pending events with time-relative deadlines, and the specification's
 // own bookkeeping). On a violation the BFS order guarantees a
-// minimal-length counterexample, which is replayed with a Tracer attached
-// to render the full message transcript.
+// minimal-length counterexample, which is replayed on a fresh system with
+// a Tracer attached to render the full message transcript.
 package mcheck
 
 import (

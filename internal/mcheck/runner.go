@@ -31,9 +31,12 @@ type pendAcc struct {
 	legal map[uint64]bool
 }
 
-// runner executes one action sequence against a fresh system, tracking
-// the value specification and recording transitions. It is single-use:
-// the only way to "rewind" is to build a new runner and replay.
+// runner executes action sequences against one system, tracking the
+// value specification and recording transitions. The machine only runs
+// forward; to rewind, reset puts the system and the specification back
+// into the initial (post-prelude) state and the caller replays a path.
+// One runner serves a whole exploration this way, so construction is
+// paid once per Run rather than once per explored edge.
 type runner struct {
 	cfg   *Config
 	sys   *coherence.System
@@ -73,6 +76,8 @@ func tokenFor(core, idx int) uint64 {
 	return 0xA0000000 + uint64(core)<<16 + uint64(idx)
 }
 
+// newRunner builds a runner on a fresh system and brings it to the
+// initial state (see reset).
 func (c *checker) newRunner() *runner {
 	sys := coherence.MustNewSystem(c.sysCfg)
 	r := &runner{
@@ -87,7 +92,6 @@ func (c *checker) newRunner() *runner {
 	}
 	for i := range r.addrs {
 		r.addrs[i] = cache.Addr(i * blockBytes)
-		r.committed[i] = coherence.InitialToken(r.addrs[i])
 	}
 	sys.Observe = r.observeMsg
 	sys.ObserveCPU = r.observeCPU
@@ -95,8 +99,31 @@ func (c *checker) newRunner() *runner {
 		sys.ObservePost = r.observeMsgPost
 		sys.ObserveCPUPost = r.observeCPUPost
 	}
-	r.runPrelude(c.cfg.Prelude)
+	r.reset()
 	return r
+}
+
+// reset returns the runner to the initial state: the system as NewSystem
+// builds it (coherence.System.Reset keeps the observation hooks), the
+// specification with nothing committed, outstanding or injected, and the
+// prelude executed. It is the one definition of the initial state, for a
+// new runner and a recycled one alike.
+func (r *runner) reset() {
+	if err := r.sys.Reset(); err != nil {
+		panic(err) // mcheck systems are never sharded or fault-injected
+	}
+	for i, addr := range r.addrs {
+		r.committed[i] = coherence.InitialToken(addr)
+	}
+	for core := range r.out {
+		clear(r.out[core])
+		r.out[core] = r.out[core][:0]
+	}
+	clear(r.perCore)
+	r.injected = 0
+	r.frames = r.frames[:0]
+	r.vio = nil
+	r.runPrelude(r.cfg.Prelude)
 }
 
 // runPrelude executes the directed setup sequence, draining the engine

@@ -42,6 +42,29 @@ func TestScheduleEventZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestForEachPendingZeroAlloc pins the pending-queue walk the model
+// checker runs once per fingerprint at zero allocations in steady state.
+func TestForEachPendingZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	tick := &selfTicker{e: e}
+	for i := 0; i < 40; i++ {
+		e.ScheduleEvent(Cycle(i*37), tick, Payload{A: uint64(i)})
+	}
+	e.ScheduleEvent(3*ringSize, tick, Payload{}) // one in the overflow tier
+	var n int
+	visit := func(rel Cycle, h Handler, p Payload, isClosure bool) { n++ }
+	e.ForEachPending(visit) // first walk sizes the buffer
+
+	allocs := testing.AllocsPerRun(200, func() { e.ForEachPending(visit) })
+	if allocs != 0 {
+		t.Fatalf("ForEachPending allocates %.1f per walk, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the 200 it measures.
+	if want := 41 * (1 + 1 + 200); n != want {
+		t.Fatalf("visited %d events, want %d", n, want)
+	}
+}
+
 // shardTicker is the sharded selfTicker: it reschedules itself on its own
 // shard every cycle and emits a deferred side op (the fire-and-forget
 // shared-state path) per event.

@@ -98,6 +98,10 @@ type Engine struct {
 	// current cycle advances and their horizon opens.
 	overflow []event
 
+	// pendBuf is ForEachPendingAbs's collection buffer, kept so repeated
+	// walks (one per model-checker fingerprint) allocate nothing.
+	pendBuf []event
+
 	// wd is the armed liveness watchdog, or nil. See watchdog.go. Kept as
 	// a single pointer so the disarmed hot path pays one nil check.
 	wd *watchdog
@@ -110,6 +114,31 @@ type Engine struct {
 
 // NewEngine returns an engine with time set to cycle 0.
 func NewEngine() *Engine { return &Engine{} }
+
+// Reset returns the engine to the state NewEngine leaves it in — cycle 0,
+// no pending events, zeroed counters, no watchdog or cancellation token
+// armed — while keeping every bucket's and the overflow heap's capacity,
+// so a reused engine allocates nothing to get back to steady state. Only
+// occupied buckets are visited. It panics on a shard engine, whose state
+// belongs to the Sharded engine that owns it.
+func (e *Engine) Reset() {
+	if e.ss != nil {
+		panic("sim: Reset on a shard engine")
+	}
+	for w := range e.occ {
+		for word := e.occ[w]; word != 0; word &= word - 1 {
+			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
+			clear(b.evs[b.head:]) // executed slots were zeroed by popRun
+			b.evs = b.evs[:0]
+			b.head = 0
+		}
+		e.occ[w] = 0
+	}
+	clear(e.overflow)
+	e.overflow = e.overflow[:0]
+	e.now, e.seq, e.executed, e.scheduled, e.pending = 0, 0, 0, 0, 0
+	e.wd = nil
+}
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -333,10 +362,15 @@ func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p 
 	if e.pending+deferred == 0 {
 		return
 	}
-	evs := make([]event, 0, e.pending+deferred)
-	for i := range e.ring {
-		b := &e.ring[i]
-		evs = append(evs, b.evs[b.head:]...)
+	// Take the buffer for the duration of the walk, so a callback that
+	// walks the queue again gets its own instead of clobbering this one.
+	evs := e.pendBuf[:0]
+	e.pendBuf = nil
+	for w := range e.occ {
+		for word := e.occ[w]; word != 0; word &= word - 1 {
+			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
+			evs = append(evs, b.evs[b.head:]...)
+		}
 	}
 	evs = append(evs, e.overflow...)
 	if ss := e.ss; ss != nil {
@@ -359,6 +393,8 @@ func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p 
 		ev := &evs[i]
 		fn(ev.when, ev.seq, ev.h, ev.p, ev.fn != nil)
 	}
+	clear(evs) // drop the copied fn/handler references
+	e.pendBuf = evs[:0]
 }
 
 // sortEvents orders events by (when, seq) with a simple insertion sort:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -250,6 +251,86 @@ func TestOccupancyBitmapConsistency(t *testing.T) {
 	for w, word := range e.occ {
 		if word != 0 {
 			t.Fatalf("occupancy word %d = %#x after drain", w, word)
+		}
+	}
+}
+
+// queuedEvent is one entry of a ForEachPendingAbs walk.
+type queuedEvent struct {
+	when    Cycle
+	key     uint64
+	x       int32
+	closure bool
+}
+
+// pendingDump lists the pending queue in ForEachPendingAbs order.
+func pendingDump(e *Engine) []queuedEvent {
+	var out []queuedEvent
+	e.ForEachPendingAbs(func(when Cycle, key uint64, h Handler, p Payload, isClosure bool) {
+		out = append(out, queuedEvent{when, key, p.X, isClosure})
+	})
+	return out
+}
+
+// loadEngine schedules near, same-cycle, and overflow-tier events, closure
+// and handler alike.
+func loadEngine(e *Engine, r *recorder, rng *RNG) {
+	for i := 0; i < 200; i++ {
+		d := Cycle(rng.Uint64n(3 * ringSize))
+		if i%3 == 0 {
+			e.Schedule(d, func() {})
+		} else {
+			e.ScheduleEvent(d, r, Payload{X: int32(i)})
+		}
+	}
+}
+
+// A reset engine — interrupted mid-run with events in the ring and the
+// overflow heap, a watchdog and a cancel token armed — behaves exactly
+// like a new one: same clock and counters, and the same event order,
+// timestamps, and sequence keys for the same schedule.
+func TestEngineResetMatchesFresh(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	loadEngine(e, r, NewRNG(5))
+	e.ArmWatchdog(WatchdogConfig{MaxEvents: 1 << 40}, func(TripInfo) {})
+	e.ArmCancel(NewCancel(), func(CancelInfo) {})
+	e.RunFor(ringSize + 300)
+	if e.Pending() == 0 || len(e.overflow) == 0 {
+		t.Fatalf("setup left %d pending, %d in overflow: want both nonzero", e.Pending(), len(e.overflow))
+	}
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.wd != nil {
+		t.Fatalf("after Reset: now=%d pending=%d executed=%d watchdog=%v", e.Now(), e.Pending(), e.Executed(), e.wd != nil)
+	}
+	for w, word := range e.occ {
+		if word != 0 {
+			t.Fatalf("occupancy word %d = %#x after Reset", w, word)
+		}
+	}
+	for idx := range e.ring {
+		full := e.ring[idx].evs[:cap(e.ring[idx].evs)]
+		for j := range full {
+			if full[j].fn != nil || full[j].h != nil {
+				t.Fatalf("bucket %d slot %d retains a reference after Reset", idx, j)
+			}
+		}
+	}
+
+	fresh := NewEngine()
+	fr := &recorder{e: fresh}
+	r.got, r.at = nil, nil
+	loadEngine(e, r, NewRNG(6))
+	loadEngine(fresh, fr, NewRNG(6))
+	if got, want := pendingDump(e), pendingDump(fresh); !slices.Equal(got, want) {
+		t.Fatalf("pending after Reset:\n%+v\nfresh:\n%+v", got, want)
+	}
+	if e.Run() != fresh.Run() || e.Executed() != fresh.Executed() {
+		t.Fatalf("run ended at %d after %d events, fresh at %d after %d", e.Now(), e.Executed(), fresh.Now(), fresh.Executed())
+	}
+	for i := range fr.got {
+		if r.got[i] != fr.got[i] || r.at[i] != fr.at[i] {
+			t.Fatalf("event %d: %+v at %d, fresh %+v at %d", i, r.got[i], r.at[i], fr.got[i], fr.at[i])
 		}
 	}
 }

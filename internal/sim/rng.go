@@ -10,10 +10,18 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed. A zero seed is remapped to a
 // fixed non-zero constant because xorshift has an all-zero fixed point.
 func NewRNG(seed uint64) *RNG {
+	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the generator's stream from seed, exactly as NewRNG(seed)
+// would begin it.
+func (r *RNG) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &RNG{state: seed}
+	r.state = seed
 }
 
 // Uint64 returns the next 64 random bits.
