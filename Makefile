@@ -102,11 +102,11 @@ benchdiff:
 # result-cache lookup and singleflight leader paths (swiftdir-serve's
 # per-request fast path) are pinned the same way.
 bench-gate:
-	$(GO) test -bench='^BenchmarkAccess|^BenchmarkShardedEngine|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
+	$(GO) test -bench='^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' -benchmem -benchtime=50000x -run=^$$ . > bench.raw
 	@cat bench.raw
 	$(GO) run ./cmd/bench2json \
-		-ceiling 'BenchmarkAccessMESI=2500,BenchmarkAccessSharded4=7000,BenchmarkShardedEngineSeq=1500,BenchmarkShardedEngineShards4=1500,BenchmarkResultCacheHit=500,BenchmarkSingleflightDo=1000,BenchmarkMeshRoute=500,BenchmarkAccessMesh64=8000' \
-		-zeroalloc '^BenchmarkAccess|^BenchmarkShardedEngine|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' < bench.raw > /dev/null
+		-ceiling 'BenchmarkAccessMESI=2500,BenchmarkResultCacheHit=500,BenchmarkSingleflightDo=1000,BenchmarkMeshRoute=500,BenchmarkAccessMesh64=8000' \
+		-zeroalloc '^BenchmarkAccess|^BenchmarkResultCache|^BenchmarkSingleflight|^BenchmarkMeshRoute' < bench.raw > /dev/null
 	@rm -f bench.raw
 	@echo "bench gate ok"
 
@@ -147,8 +147,8 @@ soak:
 # cluster-hub busy windows on top of the flat machine's fault classes —
 # with the watchdog armed and the same metamorphic oracle (timing faults
 # must move cycles only). Crash bundles land in SOAK_ARTIFACTS, carry
-# the scaled topology in replay.json, and reproduce at any shard count
-# with `swiftdir-sim -replay <bundle>`.
+# the scaled topology in replay.json, and reproduce with
+# `swiftdir-sim -replay <bundle>`.
 CHAOS_CORES ?= 64
 chaos:
 	$(GO) run -race ./cmd/swiftdir-sim -soak -soakscaled -soakcores $(CHAOS_CORES) \

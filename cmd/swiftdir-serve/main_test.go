@@ -123,8 +123,10 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 func TestServeBadFlags(t *testing.T) {
-	if code := run(context.Background(), []string{"-shards", "999"}, io.Discard, io.Discard); code != 2 {
-		t.Errorf("bad -shards: code %d, want 2", code)
+	for _, n := range []string{"999", "2", "-1"} {
+		if code := run(context.Background(), []string{"-shards", n}, io.Discard, io.Discard); code != 2 {
+			t.Errorf("-shards %s: code %d, want 2", n, code)
+		}
 	}
 	if code := run(context.Background(), []string{"-nope"}, io.Discard, io.Discard); code != 2 {
 		t.Errorf("bad flag: code %d, want 2", code)

@@ -113,6 +113,11 @@ func (p Params) Validate() error {
 	if p.BlockSize&(p.BlockSize-1) != 0 {
 		return fmt.Errorf("cache %q: block size %d not a power of two", p.Name, p.BlockSize)
 	}
+	if p.Ways > p.SizeBytes/p.BlockSize {
+		// Checked before the product below, which could overflow to zero.
+		return fmt.Errorf("cache %q: %d ways of %d-byte blocks exceed size %d",
+			p.Name, p.Ways, p.BlockSize, p.SizeBytes)
+	}
 	if p.SizeBytes%(p.Ways*p.BlockSize) != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by ways*block (%d*%d)",
 			p.Name, p.SizeBytes, p.Ways, p.BlockSize)

@@ -20,6 +20,7 @@ func TestParamsValidate(t *testing.T) {
 		{"non-pow2 block", Params{SizeBytes: 1024, Ways: 4, BlockSize: 48}, false},
 		{"indivisible", Params{SizeBytes: 1000, Ways: 4, BlockSize: 64}, false},
 		{"non-pow2 sets", Params{SizeBytes: 64 * 4 * 3, Ways: 4, BlockSize: 64}, false},
+		{"ways*block overflows", Params{SizeBytes: 64, Ways: 1 << 62, BlockSize: 4}, false},
 		{"table5 L1", Params{Name: "L1", SizeBytes: 32 << 10, Ways: 4, BlockSize: 64}, true},
 		{"table5 L2 bank", Params{Name: "L2", SizeBytes: 2 << 20, Ways: 16, BlockSize: 64}, true},
 	}

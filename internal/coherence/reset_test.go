@@ -203,13 +203,9 @@ func checkResetMatchesFresh(t *testing.T, s, fresh *System, label string) {
 	}
 }
 
-// TestResetRefusesShardedAndFaulted: a sharded engine and a fault
-// injector carry state Reset does not own, so both are refused.
-func TestResetRefusesShardedAndFaulted(t *testing.T) {
-	sharded := MustNewSystem(shardedTestConfig(MESI, 4, 2, true))
-	if err := sharded.Reset(); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("Reset of a sharded system: err = %v, want a sharded refusal", err)
-	}
+// TestResetRefusesFaulted: a fault injector carries plan state Reset does
+// not own, so a faulted system is refused.
+func TestResetRefusesFaulted(t *testing.T) {
 	cfg := testConfig(MESI, 2)
 	cfg.Faults = fault.MustNewInjector(fault.Plan{Name: "spikes", Seed: 3, LinkSpikeProb: 0.1, LinkSpikeMax: 9})
 	faulted := MustNewSystem(cfg)

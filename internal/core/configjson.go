@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -45,8 +46,6 @@ type configJSON struct {
 	Prefetch string           `json:"prefetch,omitempty"`
 
 	NoFastPath bool `json:"no_fast_path,omitempty"`
-	Shards     int  `json:"shards,omitempty"`
-	Prefault   bool `json:"prefault,omitempty"`
 }
 
 func prefetchFromString(s string) (coherence.PrefetchMode, error) {
@@ -93,16 +92,19 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		Timing: c.Timing, Protocol: proto, DRAM: c.DRAM,
 		Prefetch:   c.Prefetch.String(),
 		NoFastPath: c.NoFastPath,
-		Shards:     c.Shards, Prefault: c.Prefault,
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler. Unknown protocol or
-// architecture names are errors; a missing protocol defaults to SwiftDir.
+// UnmarshalJSON implements json.Unmarshaler. Unknown keys, protocol
+// names, and architecture names are errors — a saved configuration must
+// not silently load with a knob dropped; a missing protocol defaults to
+// SwiftDir.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var j configJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
+		return fmt.Errorf("core: config: %w", err)
 	}
 	arch, err := archFromString(j.L1Arch)
 	if err != nil {
@@ -133,7 +135,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		Timing: j.Timing, Protocol: proto, DRAM: j.DRAM,
 		Prefetch:   pf,
 		NoFastPath: j.NoFastPath,
-		Shards:     j.Shards, Prefault: j.Prefault,
 	}
 	return nil
 }

@@ -50,6 +50,35 @@ func TestConfigJSONErrors(t *testing.T) {
 	}
 }
 
+// Unknown keys are rejected, not dropped: a saved config carrying a
+// removed knob or a misspelled one would otherwise load silently and run
+// with different settings than the file says.
+func TestConfigJSONRejectsUnknownKeys(t *testing.T) {
+	valid, err := json.Marshal(DefaultConfig(2, coherence.MESI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, key string }{
+		{"removed prefault knob", `"prefault":true`},
+		{"removed shards knob", `"shards":4`},
+		{"misspelled key", `"no_fastpath":true`},
+		{"misspelled nested key", `"timing":{"LLCTagg":3}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(`{`+tc.key+`,`), valid[1:]...)
+			var c Config
+			err := json.Unmarshal(data, &c)
+			if err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Fatalf("err = %v, want an unknown-field error", err)
+			}
+		})
+	}
+	var c Config
+	if err := json.Unmarshal(valid, &c); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
 func TestConfigJSONDefaultsProtocol(t *testing.T) {
 	var c Config
 	if err := json.Unmarshal([]byte(`{}`), &c); err != nil {

@@ -61,7 +61,7 @@ const (
 
 // Experiment is one registry entry: a named, parameterized, deterministic
 // report generator. Run renders the same bytes for the same normalized
-// Params at any worker/shard count (the repo's headline guarantee), which
+// Params at any worker count (the repo's headline guarantee), which
 // is what makes memoizing on (Name, Normalize(p)) sound.
 type Experiment struct {
 	Name  string

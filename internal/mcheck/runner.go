@@ -110,7 +110,7 @@ func (c *checker) newRunner() *runner {
 // new runner and a recycled one alike.
 func (r *runner) reset() {
 	if err := r.sys.Reset(); err != nil {
-		panic(err) // mcheck systems are never sharded or fault-injected
+		panic(err) // mcheck systems are never fault-injected
 	}
 	for i, addr := range r.addrs {
 		r.committed[i] = coherence.InitialToken(addr)

@@ -6,9 +6,8 @@
 //
 // The soundness argument is the repository's determinism guarantee: an
 // experiment's report bytes are a pure function of that tuple — golden
-// hashes pin them across engine rewrites, and the j1-vs-jN and
-// shards-1-vs-N equivalence suites prove worker and shard counts cannot
-// leak in. A cache hit is therefore provably byte-identical to a re-run,
+// hashes pin them across engine rewrites, and the j1-vs-jN equivalence
+// suites prove the worker count cannot leak in. A cache hit is therefore provably byte-identical to a re-run,
 // which is what lets swiftdir-serve turn O(grid) repeat traffic into
 // O(1) lookups without weakening any result.
 //

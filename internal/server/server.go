@@ -369,9 +369,6 @@ func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultc
 	if fp := stats.MergeFastPaths(key.Experiment, stats.TakeFastPaths()); fp.Total() > 0 {
 		side.WriteString(fp.Footer() + "\n")
 	}
-	if sh := stats.MergeShards(key.Experiment, stats.TakeShards()); sh.Shards() > 0 {
-		side.WriteString(sh.Footer() + "\n")
-	}
 	if err != nil {
 		return nil, err
 	}

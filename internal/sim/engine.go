@@ -84,11 +84,10 @@ type bucket struct {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use; time starts at cycle 0.
 type Engine struct {
-	now       Cycle
-	seq       uint64
-	executed  uint64
-	scheduled uint64
-	pending   int
+	now      Cycle
+	seq      uint64
+	executed uint64
+	pending  int
 
 	ring [ringSize]bucket
 	occ  [ringWord]uint64 // occupancy bitmap: bit i set iff ring[i] has unexecuted events
@@ -105,11 +104,6 @@ type Engine struct {
 	// wd is the armed liveness watchdog, or nil. See watchdog.go. Kept as
 	// a single pointer so the disarmed hot path pays one nil check.
 	wd *watchdog
-
-	// ss is non-nil iff this engine is one shard of a Sharded engine (see
-	// sharded.go). Like wd it is a single pointer, so the sequential hot
-	// path pays one nil check per schedule and nothing else.
-	ss *shardState
 }
 
 // NewEngine returns an engine with time set to cycle 0.
@@ -119,12 +113,8 @@ func NewEngine() *Engine { return &Engine{} }
 // no pending events, zeroed counters, no watchdog or cancellation token
 // armed — while keeping every bucket's and the overflow heap's capacity,
 // so a reused engine allocates nothing to get back to steady state. Only
-// occupied buckets are visited. It panics on a shard engine, whose state
-// belongs to the Sharded engine that owns it.
+// occupied buckets are visited.
 func (e *Engine) Reset() {
-	if e.ss != nil {
-		panic("sim: Reset on a shard engine")
-	}
 	for w := range e.occ {
 		for word := e.occ[w]; word != 0; word &= word - 1 {
 			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
@@ -136,7 +126,7 @@ func (e *Engine) Reset() {
 	}
 	clear(e.overflow)
 	e.overflow = e.overflow[:0]
-	e.now, e.seq, e.executed, e.scheduled, e.pending = 0, 0, 0, 0, 0
+	e.now, e.seq, e.executed, e.pending = 0, 0, 0, 0
 	e.wd = nil
 }
 
@@ -156,12 +146,7 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
-	if e.ss != nil {
-		e.ss.schedule(e, event{when: e.now + delay, fn: fn})
-		return
-	}
 	e.seq++
-	e.scheduled++
 	e.pending++
 	e.insert(event{when: e.now + delay, seq: e.seq, fn: fn})
 }
@@ -182,12 +167,7 @@ func (e *Engine) ScheduleEvent(delay Cycle, h Handler, p Payload) {
 	if h == nil {
 		panic("sim: ScheduleEvent called with nil handler")
 	}
-	if e.ss != nil {
-		e.ss.schedule(e, event{when: e.now + delay, h: h, p: p})
-		return
-	}
 	e.seq++
-	e.scheduled++
 	e.pending++
 	e.insert(event{when: e.now + delay, seq: e.seq, h: h, p: p})
 }
@@ -214,17 +194,6 @@ func (e *Engine) enqueueNear(ev event) {
 	idx := uint32(ev.when) & ringMask
 	b := &e.ring[idx]
 	b.evs = append(b.evs, ev)
-	if e.ss != nil {
-		// Shard engines receive barrier-time insertions whose merge keys
-		// may be smaller than events already queued for the cycle, so the
-		// bucket FIFO invariant (append order == seq order) does not hold
-		// for free. Restore it by insertion from the tail; mid-epoch
-		// inserts carry monotone provisional keys, so this degenerates to
-		// a single comparison on the hot path.
-		for i := len(b.evs) - 1; i > b.head && eventLess(&b.evs[i], &b.evs[i-1]); i-- {
-			b.evs[i], b.evs[i-1] = b.evs[i-1], b.evs[i]
-		}
-	}
 	e.occ[idx>>6] |= 1 << (idx & 63)
 }
 
@@ -344,22 +313,10 @@ func (e *Engine) ForEachPending(fn func(rel Cycle, h Handler, p Payload, isClosu
 }
 
 // ForEachPendingAbs is ForEachPending reporting absolute timestamps and
-// merge keys instead of relative delays. On a shard engine the keys let a
-// caller merge several shards' queues into the global execution order —
-// outside epochs every key is exact (drawn from the shared sequential
-// counter), so the merged (when, key) order IS the order one Engine would
-// execute; mid-epoch, merge-buffer events appear under their provisional
-// keys, which is where the barrier merge would slot them.
+// sequence keys instead of relative delays: (when, key) is the exact
+// order Run would execute the events in.
 func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p Payload, isClosure bool)) {
-	deferred := 0
-	if ss := e.ss; ss != nil {
-		for i := range ss.born {
-			if ss.born[i].kind != bornLive {
-				deferred++
-			}
-		}
-	}
-	if e.pending+deferred == 0 {
+	if e.pending == 0 {
 		return
 	}
 	// Take the buffer for the duration of the walk, so a callback that
@@ -373,21 +330,6 @@ func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p 
 		}
 	}
 	evs = append(evs, e.overflow...)
-	if ss := e.ss; ss != nil {
-		// Mid-epoch, events bound for other shards (and deferred locals)
-		// sit in the born buffer awaiting the barrier merge. They are
-		// pending work all the same: watchdog dumps and crash bundles
-		// must see them.
-		for i := range ss.born {
-			br := &ss.born[i]
-			if br.kind == bornLive {
-				continue
-			}
-			ev := br.ev
-			ev.seq = provisionalBase + uint64(i)
-			evs = append(evs, ev)
-		}
-	}
 	sortEvents(evs)
 	for i := range evs {
 		ev := &evs[i]

@@ -1,12 +1,13 @@
 package soak
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
+	"repro/internal/sim"
 )
 
 // scaledChaosBase is the 64-core mesh/two-level machine the chaos sweep
@@ -65,57 +66,76 @@ func TestScaledChaosSweepMetamorphic(t *testing.T) {
 	}
 }
 
-// A failure recorded on the scaled machine at shards=4 must replay
-// byte-identically at shards=1: the replay spec now carries the scaled
-// topology, and mesh-faulted systems always run sequential stepping, so
-// the injector's draw order is the global message order at every shard
-// count.
-func TestScaledBundleReplaysAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
-	plans := []fault.Plan{
-		{Name: "scaled-forced", Seed: 11, FailAt: 2_000,
-			MeshSpikeProb: 0.05, MeshSpikeMax: 8,
-			HubBusyProb: 0.05, HubBusyMax: 8},
+// A failure recorded on the scaled machine (64-core mesh, two-level
+// directory with hubs) under mesh and hub fault injection must replay
+// byte-identically from its bundle: the replay spec carries the scaled
+// topology and the fault plan, so the injector's draws, the violation,
+// and the full diagnostic — pending events, hub records, MSHRs, message
+// tail — all reproduce. Covers both a forced failure and a watchdog
+// liveness trip (hang bundle).
+func TestScaledBundleRoundTrip(t *testing.T) {
+	cases := []struct {
+		plan     fault.Plan
+		kind     fault.Kind
+		watchdog sim.WatchdogConfig
+	}{
+		{
+			plan: fault.Plan{Name: "scaled-forced", Seed: 11, FailAt: 2_000,
+				MeshSpikeProb: 0.05, MeshSpikeMax: 8,
+				HubBusyProb: 0.05, HubBusyMax: 8},
+			kind:     fault.KindForced,
+			watchdog: DefaultWatchdog(),
+		},
+		{
+			plan: fault.Plan{Name: "scaled-wedge", Seed: 3, HangAt: 1_000,
+				MeshSpikeProb: 0.05, MeshSpikeMax: 8,
+				HubBusyProb: 0.05, HubBusyMax: 8},
+			kind:     fault.KindLiveness,
+			watchdog: sim.WatchdogConfig{MaxEvents: 10_000, MaxCycles: 100_000},
+		},
 	}
-	base := scaledChaosBase("SwiftDir")
+	for _, tc := range cases {
+		t.Run(tc.plan.Name, func(t *testing.T) {
+			base := scaledChaosBase("SwiftDir")
+			base.Watchdog = tc.watchdog
+			res := Sweep(base, []fault.Plan{tc.plan}, t.TempDir(), 1)
+			if res.Err == nil {
+				t.Fatal("plan did not fail the sweep")
+			}
+			po := res.Outcomes[0]
+			if po.Bundle == "" {
+				t.Fatalf("no bundle recorded; outcome err: %v", po.Err)
+			}
+			recorded, err := fault.ReadBundleViolation(po.Bundle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recorded.Kind != tc.kind {
+				t.Fatalf("bundled violation kind %q, want %q", recorded.Kind, tc.kind)
+			}
 
-	campaign.SetShards(4)
-	res := Sweep(base, plans, dir, 1)
-	campaign.SetShards(0)
-	if res.Err == nil {
-		t.Fatal("forced plan did not fail the sweep")
-	}
-	po := res.Outcomes[0]
-	if po.Bundle == "" {
-		t.Fatalf("no bundle for forced plan; outcome err: %v", po.Err)
-	}
-	recorded, err := fault.ReadBundleViolation(po.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recorded.Kind != fault.KindForced {
-		t.Fatalf("bundled violation kind %q, want forced", recorded.Kind)
-	}
-
-	campaign.SetShards(1)
-	defer campaign.SetShards(0)
-	out, err := Replay(po.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Violation == nil {
-		t.Fatalf("sequential replay did not reproduce the violation (err=%v)", out.Err)
-	}
-	if !out.Spec.Scaled || out.Spec.Cores != 64 {
-		t.Fatalf("replay spec lost the scaled topology: %+v", out.Spec)
-	}
-	if out.Violation.Kind != recorded.Kind || out.Violation.Cycle != recorded.Cycle ||
-		out.Violation.Msg != recorded.Msg || out.Violation.Component != recorded.Component {
-		t.Errorf("sequential replay differs from sharded recording:\n  bundled:  %s\n  replayed: %s",
-			recorded.Error(), out.Violation.Error())
-	}
-	if out.Violation.Dump != recorded.Dump {
-		t.Errorf("replayed diagnostic is not byte-identical (%d vs %d bytes)",
-			len(out.Violation.Dump), len(recorded.Dump))
+			out, err := Replay(po.Bundle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Violation == nil {
+				t.Fatalf("replay did not reproduce the violation (err=%v)", out.Err)
+			}
+			if !out.Spec.Scaled || out.Spec.Cores != 64 {
+				t.Fatalf("replay spec lost the scaled topology: %+v", out.Spec)
+			}
+			if out.Violation.Kind != recorded.Kind || out.Violation.Cycle != recorded.Cycle ||
+				out.Violation.Msg != recorded.Msg || out.Violation.Component != recorded.Component {
+				t.Errorf("replay differs from the recording:\n  bundled:  %s\n  replayed: %s",
+					recorded.Error(), out.Violation.Error())
+			}
+			if out.Violation.Dump != recorded.Dump {
+				t.Errorf("replayed diagnostic is not byte-identical (%d vs %d bytes)",
+					len(out.Violation.Dump), len(recorded.Dump))
+			}
+			if !strings.Contains(recorded.Dump, "-- hub records --") {
+				t.Error("bundled diagnostic has no hub section: not the two-level machine")
+			}
+		})
 	}
 }

@@ -26,7 +26,7 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 	if amount <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive shared-data amount %d", amount)
 	}
-	cfg := shardedDefault(core.DefaultConfig(2, protocol))
+	cfg := core.DefaultConfig(2, protocol)
 	cfg.Cancel = c
 	m, err := core.NewMachine(cfg)
 	if err != nil {
@@ -52,7 +52,6 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 	}
 
 	bar := cpu.NewBarrier(m.Engine(), 2)
-	m.ForceSequential()
 	accessor := loop()
 	accessor.Instrs = append(accessor.Instrs, cpu.Instr{Op: cpu.OpBarrier})
 	reaccessor := &cpu.SliceTrace{Instrs: append([]cpu.Instr{{Op: cpu.OpBarrier}}, loop().Instrs...)}
@@ -64,7 +63,6 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 		return Result{}, err
 	}
 	publishFastPath(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
-	publishShards(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
 	return Result{
 		Benchmark:  fmt.Sprintf("readonly-%d", amount),
 		Protocol:   protocol.Name(),
@@ -177,7 +175,7 @@ func RunWARCancel(app WARApp, protocol coherence.Policy, kind CPUKind, passes in
 	if passes <= 0 {
 		return Result{}, fmt.Errorf("workload: non-positive pass count")
 	}
-	cfg := shardedDefault(core.DefaultConfig(1, protocol))
+	cfg := core.DefaultConfig(1, protocol)
 	cfg.Cancel = tok
 	m, err := core.NewMachine(cfg)
 	if err != nil {
@@ -203,7 +201,6 @@ func RunWARCancel(app WARApp, protocol coherence.Policy, kind CPUKind, passes in
 		return Result{}, err
 	}
 	publishFastPath(app.Name, protocol.Name(), m)
-	publishShards(app.Name, protocol.Name(), m)
 	return Result{
 		Benchmark:  app.Name,
 		Protocol:   protocol.Name(),

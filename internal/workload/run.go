@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/campaign"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -21,34 +20,6 @@ func publishFastPath(benchmark, protocol string, m *core.Machine) {
 	stats.AddFastPath(stats.FastPathSummary{
 		Label: benchmark + "/" + protocol, Fast: fast, Slow: slow,
 	})
-}
-
-// publishShards queues a sharded run's engine accounting (per-shard
-// executed events, driver-run globals, epoch barriers) for the CLI
-// [shards] stderr footers; a no-op on one-engine machines. Like the
-// fast-path split it is observability only: the report stream is
-// byte-identical at every shard count.
-func publishShards(benchmark, protocol string, m *core.Machine) {
-	sh := m.Sys.ShardedEngine()
-	if sh == nil {
-		return
-	}
-	stats.AddShards(stats.ShardSummary{
-		Label:    benchmark + "/" + protocol,
-		Executed: sh.ExecutedPerShard(),
-		Globals:  sh.GlobalsRun(),
-		Barriers: sh.Barriers(),
-	})
-}
-
-// shardedDefault applies the campaign-wide -shards / SWIFTDIR_SHARDS
-// setting to a runner-built machine configuration; an explicit
-// Config.Shards wins.
-func shardedDefault(cfg core.Config) core.Config {
-	if cfg.Shards == 0 {
-		cfg.Shards = campaign.Shards()
-	}
-	return cfg
 }
 
 // CPUKind selects the execution model.
@@ -113,7 +84,6 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		return Result{}, nil, fmt.Errorf("workload %s: %d threads need >= as many cores, have %d",
 			p.Name, p.Threads, cfg.Cores)
 	}
-	cfg = shardedDefault(cfg)
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return Result{}, nil, err
@@ -129,9 +99,6 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 	var bar *cpu.Barrier
 	if p.Threads > 1 && p.BarrierEvery > 0 {
 		bar = cpu.NewBarrier(m.Engine(), p.Threads)
-		// Trace barriers mutate one shared waiter list from every core:
-		// sharded machines must stay in sequential-stepping mode.
-		m.ForceSequential()
 	}
 
 	cpus := make([]cpu.CPU, 0, p.Threads)
@@ -147,18 +114,11 @@ func RunDetailed(p Profile, cfg core.Config, kind CPUKind) (Result, *core.Machin
 		cpus = append(cpus, newCPU(kind, ctx, gen, bar))
 	}
 
-	if cfg.Prefault {
-		if err := m.Prefault(); err != nil {
-			return Result{}, nil, fmt.Errorf("workload %s: prefault: %w", p.Name, err)
-		}
-	}
-
 	cycles := cpu.Run(m, cpus)
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, nil, fmt.Errorf("workload %s on %s: %w", p.Name, cfg.Protocol.Name(), err)
 	}
 	publishFastPath(p.Name, cfg.Protocol.Name(), m)
-	publishShards(p.Name, cfg.Protocol.Name(), m)
 
 	res := Result{
 		Benchmark:  p.Name,
