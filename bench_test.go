@@ -185,7 +185,8 @@ func BenchmarkAccessMesh64(b *testing.B) {
 // under a write-after-read pattern: core 0 installs a shared copy, core 1
 // immediately writes the same block, so every iteration drives a GETS plus
 // an invalidating GETX/Upgrade through the bank's entries/busy maps (the
-// path served by the per-bank last-entry cache and pre-sized maps).
+// path served by the per-bank last-entry cache and the size-hinted
+// entries map).
 func BenchmarkDirectoryWARLookup(b *testing.B) {
 	m := core.MustNewMachine(core.DefaultConfig(2, coherence.SwiftDir))
 	proc := m.NewProcess()

@@ -61,13 +61,14 @@ func (s LineState) Valid() bool { return s != Invalid }
 // Line is one cache line: a tag, a coherence state, and bookkeeping for
 // replacement. Data is modeled as a 64-bit shadow token (see package
 // coherence) rather than a byte payload: the simulator verifies coherence
-// of values without simulating byte-level storage.
+// of values without simulating byte-level storage. The words come first
+// so the line packs into 32 bytes.
 type Line struct {
 	Tag   Addr
-	State LineState
 	Data  uint64 // shadow value token for data-value invariant checking
-	WP    bool   // write-protected hint (diagnostics only)
 	lru   uint64 // last-touch stamp for LRU
+	State LineState
+	WP    bool // write-protected hint (diagnostics only)
 }
 
 // ReplPolicy selects the victim-selection policy of an array.
@@ -135,9 +136,9 @@ type Array struct {
 	sets      int
 	blockBits uint
 	setMask   Addr
-	lines     [][]Line // [set][way]
-	clock     uint64   // LRU/FIFO stamp source
-	rng       uint64   // xorshift state for Random replacement
+	lines     []Line // set s is lines[s*Ways : (s+1)*Ways]
+	clock     uint64 // LRU/FIFO stamp source
+	rng       uint64 // xorshift state for Random replacement
 
 	// Stats
 	Hits, Misses, Evictions uint64
@@ -155,13 +156,15 @@ func NewArray(p Params) *Array {
 		sets:      sets,
 		blockBits: uint(bits.TrailingZeros(uint(p.BlockSize))),
 		setMask:   Addr(sets - 1),
-		lines:     make([][]Line, sets),
-	}
-	backing := make([]Line, sets*p.Ways)
-	for i := range a.lines {
-		a.lines[i] = backing[i*p.Ways : (i+1)*p.Ways : (i+1)*p.Ways]
+		lines:     make([]Line, sets*p.Ways),
 	}
 	return a
+}
+
+// set returns the ways of set s.
+func (a *Array) set(s int) []Line {
+	w := a.params.Ways
+	return a.lines[s*w : (s+1)*w : (s+1)*w]
 }
 
 // Reset empties the array and zeroes its replacement state and statistics,
@@ -171,9 +174,7 @@ func NewArray(p Params) *Array {
 // its storage is left untouched.
 func (a *Array) Reset() {
 	if a.clock != 0 {
-		for _, set := range a.lines {
-			clear(set)
-		}
+		clear(a.lines)
 	}
 	a.clock, a.rng = 0, 0
 	a.Hits, a.Misses, a.Evictions = 0, 0, 0
@@ -202,7 +203,7 @@ func (a *Array) tag(addr Addr) Addr {
 // Lookup finds the line holding addr, returning nil on miss. It does not
 // update replacement state or statistics; use Probe/Touch for that.
 func (a *Array) Lookup(addr Addr) *Line {
-	set := a.lines[a.SetIndex(addr)]
+	set := a.set(a.SetIndex(addr))
 	tag := a.tag(addr)
 	for i := range set {
 		if set[i].State.Valid() && set[i].Tag == tag {
@@ -262,7 +263,7 @@ func (a *Array) nextRand() uint64 {
 // still resident; the caller is responsible for writeback/invalidations
 // before calling Install.
 func (a *Array) Victim(addr Addr) *Line {
-	set := a.lines[a.SetIndex(addr)]
+	set := a.set(a.SetIndex(addr))
 	for i := range set {
 		if !set[i].State.Valid() {
 			return &set[i]
@@ -285,7 +286,7 @@ func (a *Array) Victim(addr Addr) *Line {
 // (callers treat that as a structural stall). Invalid ways are never
 // blocked.
 func (a *Array) VictimFiltered(addr Addr, blocked func(Addr) bool) *Line {
-	set := a.lines[a.SetIndex(addr)]
+	set := a.set(a.SetIndex(addr))
 	// Single pass, no candidate slice: count the eligible ways and track
 	// the LRU minimum (first-encountered wins ties, as before).
 	n := 0
@@ -359,9 +360,10 @@ func (a *Array) AddrOfLine(ln *Line, setProbe Addr) Addr {
 // ForEachValid invokes fn for every resident line with its block address.
 func (a *Array) ForEachValid(fn func(addr Addr, ln *Line)) {
 	setBits := uint(bits.TrailingZeros(uint(a.sets)))
-	for s := range a.lines {
-		for w := range a.lines[s] {
-			ln := &a.lines[s][w]
+	for s := 0; s < a.sets; s++ {
+		set := a.set(s)
+		for w := range set {
+			ln := &set[w]
 			if ln.State.Valid() {
 				addr := ln.Tag<<(a.blockBits+setBits) | Addr(s)<<a.blockBits
 				fn(addr, ln)
@@ -390,10 +392,14 @@ func (a *Array) AppendFingerprint(emit func(uint64)) {
 	if a.params.Replacement == Random {
 		emit(a.rng)
 	}
-	// rank buffer reused across sets.
-	rank := make([]*Line, a.params.Ways)
-	for s := range a.lines {
-		set := a.lines[s]
+	// rank buffer reused across sets, on the stack for common geometries.
+	var buf [16]*Line
+	rank := buf[:]
+	if a.params.Ways > len(buf) {
+		rank = make([]*Line, a.params.Ways)
+	}
+	for s := 0; s < a.sets; s++ {
+		set := a.set(s)
 		n := 0
 		for w := range set {
 			if !set[w].State.Valid() {

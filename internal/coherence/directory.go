@@ -114,8 +114,9 @@ type bank struct {
 	// before the grant lands (which would orphan the requestor's MSHR).
 	pinned map[cache.Addr]int
 
-	txnFree   []*txn      // recycled transactions
-	entryFree []*dirEntry // recycled directory entries
+	txnFree    []*txn      // recycled transactions
+	entryFree  []*dirEntry // recycled directory entries
+	entryChunk []dirEntry  // unused rest of the chunk new entries are carved from
 
 	// One-entry lookup cache: directory traffic is bursty per block (a
 	// request, its WB_Data, its acks, its unblock all hit the same entry),
@@ -140,8 +141,7 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 	lines := params.SizeBytes / params.BlockSize
 	// Entries are the sidecars of LLC-resident blocks, so there are never
 	// more of them than the bank has lines. Transactions and pins are
-	// per block too; a bank with few lines is sized for few of them (the
-	// maps still grow if a run needs more).
+	// few at any time, so their maps grow on demand.
 	esz := min(max(lines/4, 256), lines)
 	arb, _ := sys.Policy.(Arbiter)
 	b := &bank{
@@ -151,8 +151,8 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 		tab:     sys.table,
 		arr:     cache.NewArray(params),
 		entries: make(map[cache.Addr]*dirEntry, esz),
-		busy:    make(map[cache.Addr]*txn, min(256, esz)),
-		pinned:  make(map[cache.Addr]int, min(64, esz)),
+		busy:    make(map[cache.Addr]*txn),
+		pinned:  make(map[cache.Addr]int),
 		image:   make(map[cache.Addr]uint64),
 		arb:     arb,
 	}
@@ -220,7 +220,12 @@ func (b *bank) freeTxn(t *txn) {
 	b.txnFree = append(b.txnFree, t)
 }
 
-// newEntry takes a recycled directory entry, zeroed.
+// entryChunkLen is how many directory entries one allocation carves out
+// when the free list is empty.
+const entryChunkLen = 64
+
+// newEntry takes a zeroed directory entry: a recycled one if any, else
+// the next slot of the current chunk.
 func (b *bank) newEntry() *dirEntry {
 	if n := len(b.entryFree); n > 0 {
 		e := b.entryFree[n-1]
@@ -228,7 +233,12 @@ func (b *bank) newEntry() *dirEntry {
 		*e = dirEntry{}
 		return e
 	}
-	return &dirEntry{}
+	if len(b.entryChunk) == 0 {
+		b.entryChunk = make([]dirEntry, entryChunkLen)
+	}
+	e := &b.entryChunk[0]
+	b.entryChunk = b.entryChunk[1:]
+	return e
 }
 
 func (b *bank) eng() *sim.Engine { return b.engine }

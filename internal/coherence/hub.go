@@ -73,9 +73,9 @@ func newHub(id int, sys *System) *hub {
 		id:      id,
 		sys:     sys,
 		engine:  sys.Eng,
-		record:  make(map[cache.Addr]uint64, 256),
-		pending: make(map[cache.Addr]int, 16),
-		upReqs:  make(map[cache.Addr]int, 32),
+		record:  make(map[cache.Addr]uint64),
+		pending: make(map[cache.Addr]int),
+		upReqs:  make(map[cache.Addr]int),
 	}
 	h.direct = hubDirect{h: h}
 	h.reset()

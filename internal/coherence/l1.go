@@ -183,11 +183,6 @@ type L1 struct {
 
 // newL1 wires a controller into its owning system.
 func newL1(id int, sys *System, params cache.Params) *L1 {
-	lines := params.SizeBytes / params.BlockSize
-	msz := lines / 4
-	if msz < 16 {
-		msz = 16
-	}
 	l := &L1{
 		ID:        id,
 		sys:       sys,
@@ -196,9 +191,9 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		policy:    sys.Policy,
 		tab:       sys.table,
 		arr:       cache.NewArray(params),
-		mshrs:     make(map[cache.Addr]*mshr, msz),
-		wb:        make(map[cache.Addr]wbEntry, 64),
-		storeSeqs: make(map[cache.Addr]uint64, msz),
+		mshrs:     make(map[cache.Addr]*mshr),
+		wb:        make(map[cache.Addr]wbEntry),
+		storeSeqs: make(map[cache.Addr]uint64),
 	}
 	l.reset()
 	return l

@@ -32,8 +32,13 @@ type OutOfOrder struct {
 	head    uint64 // global index of the oldest in-flight instruction
 	tail    uint64 // next global index to fetch
 	eof     bool
-	ready   []int            // slots whose dependences are resolved
-	waiters map[uint64][]int // producer idx -> dependent slots
+	ready   []int     // slots whose dependences are resolved
+	waiters [][]int32 // producer slot -> dependent slots, in fetch order; made on first use
+
+	// memDone holds each ROB slot's memory completion callback, made on
+	// the slot's first memory op. It reads the op from rob[slot], which
+	// cannot be recycled before the op completes (commit needs stDone).
+	memDone []func(coherence.AccessResult)
 
 	loadsInFlight int
 
@@ -41,15 +46,19 @@ type OutOfOrder struct {
 	// order, with up to drainDepth distinct-block transactions
 	// overlapping; stores to a block that already has an in-flight store
 	// coalesce into its transaction for free (write combining). storeOrder
-	// holds un-issued store indices in fetch order; sqOcc counts stores
+	// is a ring of un-issued store indices in fetch order, storeLen long
+	// from storeHead; it never outgrows the SQ, since sqOcc counts stores
 	// occupying the SQ (fetched but not completed).
 	storeOrder    []uint64
+	storeHead     int
+	storeLen      int
 	storeBlocks   map[mmu.VAddr]int // in-flight stores per block
 	storesDrained int               // distinct blocks with in-flight stores
 	drainDepth    int
 	blockMask     mmu.VAddr
 	sqOcc         int
-	stash         *Instr // fetched instruction deferred by a full SQ
+	stash         Instr // fetched instruction deferred by a full SQ
+	stashed       bool
 
 	// Mispredict handling: fetch stalls from the moment a mispredicted
 	// branch is dispatched until it resolves plus the redirect penalty.
@@ -118,7 +127,6 @@ func NewOutOfOrder(ctx *core.Context, trace TraceSource, bar *Barrier) *OutOfOrd
 		drainDepth:  cfg.StoreDrainDepth,
 		blockMask:   ^mmu.VAddr(cfg.L1.BlockSize - 1),
 		rob:         make([]o3Entry, cfg.ROBEntries),
-		waiters:     make(map[uint64][]int),
 		storeBlocks: make(map[mmu.VAddr]int),
 	}
 }
@@ -194,7 +202,7 @@ func (c *OutOfOrder) resourcesAvailable() bool {
 // already has an in-flight store are free; otherwise a drain slot must be
 // available (in-order issue, overlapping completion).
 func (c *OutOfOrder) canDrainStore(idx uint64) bool {
-	if len(c.storeOrder) == 0 || c.storeOrder[0] != idx {
+	if c.storeLen == 0 || c.storeOrder[c.storeHead] != idx {
 		return false
 	}
 	block := c.rob[c.slot(idx)].instr.Addr & c.blockMask
@@ -220,7 +228,10 @@ func (c *OutOfOrder) commit() int {
 		case OpBarrier:
 			c.stats.Barriers++
 		}
-		delete(c.waiters, e.idx)
+		if c.waiters != nil {
+			s := c.slot(c.head)
+			c.waiters[s] = c.waiters[s][:0]
+		}
 		c.head++
 		n++
 	}
@@ -253,7 +264,7 @@ func (c *OutOfOrder) issue() int {
 				continue
 			}
 			c.loadsInFlight++
-			c.issueMem(e, false)
+			c.issueMem(s, e)
 		case OpStore:
 			if !c.canDrainStore(e.idx) {
 				remaining = append(remaining, s)
@@ -264,8 +275,9 @@ func (c *OutOfOrder) issue() int {
 				c.storesDrained++
 			}
 			c.storeBlocks[block]++
-			c.storeOrder = c.storeOrder[1:]
-			c.issueMem(e, true)
+			c.storeHead = (c.storeHead + 1) % c.sqSize
+			c.storeLen--
+			c.issueMem(s, e)
 		default:
 			e.status = stIssued
 			c.ctx.Engine().ScheduleEvent(e.instr.latency(), c, sim.Payload{Op: o3OpMarkDone, A: e.idx})
@@ -276,26 +288,39 @@ func (c *OutOfOrder) issue() int {
 	return issued
 }
 
-func (c *OutOfOrder) issueMem(e *o3Entry, write bool) {
+// issueMem sends the load or store in ROB slot s to the hierarchy.
+func (c *OutOfOrder) issueMem(s int, e *o3Entry) {
 	e.status = stIssued
-	idx := e.idx
-	err := c.ctx.Access(e.instr.Addr, write, e.instr.Value, func(coherence.AccessResult) {
-		if write {
-			block := e.instr.Addr & c.blockMask
-			c.storeBlocks[block]--
-			if c.storeBlocks[block] == 0 {
-				delete(c.storeBlocks, block)
-				c.storesDrained--
-			}
-			c.sqOcc--
-		} else {
-			c.loadsInFlight--
-		}
-		c.markDone(idx)
-	})
+	if c.memDone == nil {
+		c.memDone = make([]func(coherence.AccessResult), c.robSize)
+	}
+	done := c.memDone[s]
+	if done == nil {
+		done = func(coherence.AccessResult) { c.memCompleted(s) }
+		c.memDone[s] = done
+	}
+	err := c.ctx.Access(e.instr.Addr, e.instr.Op == OpStore, e.instr.Value, done)
 	if err != nil {
 		panic(fmt.Sprintf("cpu: o3 mem op %#x: %v", uint64(e.instr.Addr), err))
 	}
+}
+
+// memCompleted retires the memory op in ROB slot s from the load or
+// store queue and marks it done.
+func (c *OutOfOrder) memCompleted(s int) {
+	e := &c.rob[s]
+	if e.instr.Op == OpStore {
+		block := e.instr.Addr & c.blockMask
+		c.storeBlocks[block]--
+		if c.storeBlocks[block] == 0 {
+			delete(c.storeBlocks, block)
+			c.storesDrained--
+		}
+		c.sqOcc--
+	} else {
+		c.loadsInFlight--
+	}
+	c.markDone(e.idx)
 }
 
 // checkBarrierAtHead releases a barrier instruction once it is the oldest
@@ -320,7 +345,8 @@ func (c *OutOfOrder) markDone(idx uint64) {
 	if idx < c.head {
 		return // already retired (defensive; should not happen)
 	}
-	e := &c.rob[c.slot(idx)]
+	s := c.slot(idx)
+	e := &c.rob[s]
 	if e.idx != idx || e.status == stDone {
 		return
 	}
@@ -330,18 +356,20 @@ func (c *OutOfOrder) markDone(idx uint64) {
 		c.redirectPending = true
 		c.ctx.Engine().ScheduleEvent(MispredictPenalty, c, sim.Payload{Op: o3OpRedirect})
 	}
-	for _, depSlot := range c.waiters[idx] {
-		d := &c.rob[depSlot]
-		d.pendingDeps--
-		if d.pendingDeps == 0 && d.status == stWaiting {
-			d.status = stReady
-			if d.instr.Op != OpBarrier {
-				// Barriers issue from the ROB head, not the ready queue.
-				c.ready = append(c.ready, depSlot)
+	if c.waiters != nil {
+		for _, depSlot := range c.waiters[s] {
+			d := &c.rob[depSlot]
+			d.pendingDeps--
+			if d.pendingDeps == 0 && d.status == stWaiting {
+				d.status = stReady
+				if d.instr.Op != OpBarrier {
+					// Barriers issue from the ROB head, not the ready queue.
+					c.ready = append(c.ready, int(depSlot))
+				}
 			}
 		}
+		c.waiters[s] = c.waiters[s][:0]
 	}
-	delete(c.waiters, idx)
 	c.ensureTick()
 }
 
@@ -352,12 +380,12 @@ func (c *OutOfOrder) fetch() int {
 	fetched := 0
 	for !c.eof && c.count() < c.robSize && fetched < c.width {
 		var ins Instr
-		if c.stash != nil {
-			ins = *c.stash
+		if c.stashed {
+			ins = c.stash
 			if ins.Op == OpStore && c.sqOcc >= c.sqSize {
 				break // SQ still full
 			}
-			c.stash = nil
+			c.stashed = false
 		} else {
 			var ok bool
 			ins, ok = c.trace.Next()
@@ -367,12 +395,16 @@ func (c *OutOfOrder) fetch() int {
 			}
 			if ins.Op == OpStore && c.sqOcc >= c.sqSize {
 				// SQ full: stall dispatch until a store completes.
-				c.stash = &ins
+				c.stash, c.stashed = ins, true
 				break
 			}
 		}
 		if ins.Op == OpStore {
-			c.storeOrder = append(c.storeOrder, c.tail)
+			if c.storeOrder == nil {
+				c.storeOrder = make([]uint64, c.sqSize)
+			}
+			c.storeOrder[(c.storeHead+c.storeLen)%c.sqSize] = c.tail
+			c.storeLen++
 			c.sqOcc++
 		}
 		if ins.Op == OpBranch && ins.Mispredict {
@@ -385,7 +417,7 @@ func (c *OutOfOrder) fetch() int {
 		s := c.slot(idx)
 		c.rob[s] = o3Entry{instr: ins, idx: idx}
 		e := &c.rob[s]
-		for _, d := range []int{ins.Dep1, ins.Dep2} {
+		for _, d := range [2]int{ins.Dep1, ins.Dep2} {
 			if d <= 0 || uint64(d) > idx {
 				continue
 			}
@@ -396,7 +428,11 @@ func (c *OutOfOrder) fetch() int {
 			p := &c.rob[c.slot(pidx)]
 			if p.idx == pidx && p.status != stDone {
 				e.pendingDeps++
-				c.waiters[pidx] = append(c.waiters[pidx], s)
+				if c.waiters == nil {
+					c.waiters = make([][]int32, c.robSize)
+				}
+				ps := c.slot(pidx)
+				c.waiters[ps] = append(c.waiters[ps], int32(s))
 			}
 		}
 		if e.pendingDeps == 0 {

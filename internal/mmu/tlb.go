@@ -7,7 +7,7 @@ package mmu
 // re-walking the page table (§IV-B).
 type TLB struct {
 	capacity int
-	entries  map[uint64]*tlbEntry
+	entries  []tlbEntry // resident entries in no particular order; made on first fill
 	clock    uint64
 
 	Hits, Misses uint64
@@ -15,6 +15,7 @@ type TLB struct {
 }
 
 type tlbEntry struct {
+	vpn      uint64
 	pfn      uint64
 	writable bool
 	cow      bool
@@ -26,7 +27,7 @@ func NewTLB(entries int) *TLB {
 	if entries <= 0 {
 		panic("mmu: TLB must have at least one entry")
 	}
-	return &TLB{capacity: entries, entries: make(map[uint64]*tlbEntry, entries)}
+	return &TLB{capacity: entries}
 }
 
 // Capacity returns the entry count.
@@ -35,37 +36,62 @@ func (t *TLB) Capacity() int { return t.capacity }
 // Size returns the number of resident entries.
 func (t *TLB) Size() int { return len(t.entries) }
 
-func (t *TLB) lookup(vp uint64) *tlbEntry {
-	e := t.entries[vp]
-	if e != nil {
-		t.clock++
-		e.lru = t.clock
+// find returns the index of vp's entry, or -1.
+func (t *TLB) find(vp uint64) int {
+	for i := range t.entries {
+		if t.entries[i].vpn == vp {
+			return i
+		}
 	}
+	return -1
+}
+
+func (t *TLB) lookup(vp uint64) *tlbEntry {
+	i := t.find(vp)
+	if i < 0 {
+		return nil
+	}
+	e := &t.entries[i]
+	t.clock++
+	e.lru = t.clock
 	return e
 }
 
+// insert fills vp's translation, replacing the least recently used entry
+// when the TLB is full. Every fill and hit takes a fresh clock value, so
+// the minimum stamp is unique and the victim does not depend on the
+// entries' order.
 func (t *TLB) insert(vp uint64, pfn uint64, writable, cow bool) {
-	if len(t.entries) >= t.capacity {
-		var victim uint64
-		var oldest uint64 = ^uint64(0)
-		for k, e := range t.entries {
-			if e.lru < oldest {
-				oldest = e.lru
-				victim = k
-			}
-		}
-		delete(t.entries, victim)
-	}
 	t.clock++
-	t.entries[vp] = &tlbEntry{pfn: pfn, writable: writable, cow: cow, lru: t.clock}
+	e := tlbEntry{vpn: vp, pfn: pfn, writable: writable, cow: cow, lru: t.clock}
+	if len(t.entries) < t.capacity {
+		if t.entries == nil {
+			t.entries = make([]tlbEntry, 0, t.capacity)
+		}
+		t.entries = append(t.entries, e)
+		return
+	}
+	victim := 0
+	for i := range t.entries {
+		if t.entries[i].lru < t.entries[victim].lru {
+			victim = i
+		}
+	}
+	t.entries[victim] = e
 }
 
 // InvalidatePage drops the entry for the page containing v, if any.
-func (t *TLB) InvalidatePage(v VAddr) { delete(t.entries, vpn(v)) }
+func (t *TLB) InvalidatePage(v VAddr) {
+	if i := t.find(vpn(v)); i >= 0 {
+		last := len(t.entries) - 1
+		t.entries[i] = t.entries[last]
+		t.entries = t.entries[:last]
+	}
+}
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	t.entries = make(map[uint64]*tlbEntry, t.capacity)
+	t.entries = t.entries[:0]
 	t.Flushes++
 }
 

@@ -27,7 +27,7 @@ func (s *selfTicker) Handle(p Payload) {
 func TestScheduleEventZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	tick := &selfTicker{e: e}
-	// Warm the bucket free lists.
+	// Warm the slab and its free list.
 	tick.n = 2 * ringSize
 	e.ScheduleEvent(1, tick, Payload{})
 	e.Run()

@@ -19,11 +19,13 @@
 //
 // Storage is a calendar queue: a ring of per-cycle FIFO buckets covering
 // the near future, with a slice-backed binary min-heap as the overflow
-// tier for events more than ringSize cycles out. Bucket slots and heap
-// slots are recycled in place (the free list is the retained capacity of
-// each bucket), so steady-state execution performs no allocation and no
-// interface boxing — unlike the previous container/heap implementation,
-// which boxed every event through `any`.
+// tier for events more than ringSize cycles out. Ring events live in one
+// engine-owned slab; each bucket is an intrusive singly linked list of
+// slab slots (head and tail index), and executed slots are zeroed and
+// pushed on an index free list. The slab grows on first use and is then
+// recycled, so a fresh engine pays for its peak pending-event count once
+// rather than once per bucket, and steady-state execution performs no
+// allocation and no interface boxing.
 package sim
 
 import (
@@ -54,13 +56,16 @@ type Handler interface {
 }
 
 // event is a unit of scheduled work: either a closure (fn) or a
-// (handler, payload) pair.
+// (handler, payload) pair. next links a ring event to the following slab
+// slot of its bucket; it is meaningless in the overflow heap and in a
+// bucket's tail slot.
 type event struct {
 	when Cycle
 	seq  uint64
 	fn   func()
 	h    Handler
 	p    Payload
+	next int32
 }
 
 const (
@@ -73,12 +78,12 @@ const (
 	ringWord = ringSize / 64
 )
 
-// bucket is the FIFO of events for one cycle of the near-future ring.
-// head indexes the next unexecuted event; the slice's retained capacity is
-// the bucket's free list.
+// bucket is the FIFO of events for one cycle of the near-future ring: a
+// linked list of slab slots from head (next to run) to tail (last
+// scheduled). The occupancy bit alone says whether the bucket is empty;
+// head and tail are stale while it is clear.
 type bucket struct {
-	head int
-	evs  []event
+	head, tail int32
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -91,6 +96,11 @@ type Engine struct {
 
 	ring [ringSize]bucket
 	occ  [ringWord]uint64 // occupancy bitmap: bit i set iff ring[i] has unexecuted events
+
+	// slab stores every ring event; free stacks the indexes of its zeroed,
+	// unused slots.
+	slab []event
+	free []int32
 
 	// overflow holds events scheduled >= ringSize cycles out, as a binary
 	// min-heap ordered by (when, seq). Events migrate into the ring as the
@@ -111,19 +121,13 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Reset returns the engine to the state NewEngine leaves it in — cycle 0,
 // no pending events, zeroed counters, no watchdog or cancellation token
-// armed — while keeping every bucket's and the overflow heap's capacity,
-// so a reused engine allocates nothing to get back to steady state. Only
-// occupied buckets are visited.
+// armed — while keeping the slab's and the overflow heap's capacity, so a
+// reused engine allocates nothing to get back to steady state.
 func (e *Engine) Reset() {
-	for w := range e.occ {
-		for word := e.occ[w]; word != 0; word &= word - 1 {
-			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
-			clear(b.evs[b.head:]) // executed slots were zeroed by popRun
-			b.evs = b.evs[:0]
-			b.head = 0
-		}
-		e.occ[w] = 0
-	}
+	clear(e.occ[:])
+	clear(e.slab)
+	e.slab = e.slab[:0]
+	e.free = e.free[:0]
 	clear(e.overflow)
 	e.overflow = e.overflow[:0]
 	e.now, e.seq, e.executed, e.pending = 0, 0, 0, 0
@@ -190,11 +194,27 @@ func (e *Engine) insert(ev event) {
 	}
 }
 
+// enqueueNear appends ev to its cycle's bucket, in a recycled slab slot
+// when one is free.
 func (e *Engine) enqueueNear(ev event) {
+	var s int32
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[s] = ev
+	} else {
+		s = int32(len(e.slab))
+		e.slab = append(e.slab, ev)
+	}
 	idx := uint32(ev.when) & ringMask
 	b := &e.ring[idx]
-	b.evs = append(b.evs, ev)
-	e.occ[idx>>6] |= 1 << (idx & 63)
+	if bit := uint64(1) << (idx & 63); e.occ[idx>>6]&bit == 0 {
+		e.occ[idx>>6] |= bit
+		b.head = s
+	} else {
+		e.slab[b.tail].next = s
+	}
+	b.tail = s
 }
 
 // nextTime returns the timestamp of the earliest pending event. Ring
@@ -256,18 +276,20 @@ func (e *Engine) advanceTo(t Cycle) {
 }
 
 // popRun executes the next event of the current cycle's bucket. The
-// executed slot is zeroed immediately so no fn/handler reference outlives
-// its event.
+// executed slot is zeroed and freed before the event runs, so no
+// fn/handler reference outlives its event and a delay-0 event the handler
+// schedules may reuse it.
 func (e *Engine) popRun() {
 	idx := uint32(e.now) & ringMask
 	b := &e.ring[idx]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{}
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	s := b.head
+	ev := e.slab[s]
+	e.slab[s] = event{}
+	e.free = append(e.free, s)
+	if s == b.tail {
 		e.occ[idx>>6] &^= 1 << (idx & 63)
+	} else {
+		b.head = ev.next
 	}
 	e.pending--
 	e.executed++
@@ -326,7 +348,12 @@ func (e *Engine) ForEachPendingAbs(fn func(when Cycle, key uint64, h Handler, p 
 	for w := range e.occ {
 		for word := e.occ[w]; word != 0; word &= word - 1 {
 			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
-			evs = append(evs, b.evs[b.head:]...)
+			for s := b.head; ; s = e.slab[s].next {
+				evs = append(evs, e.slab[s])
+				if s == b.tail {
+					break
+				}
+			}
 		}
 	}
 	evs = append(evs, e.overflow...)

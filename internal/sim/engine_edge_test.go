@@ -209,20 +209,12 @@ func TestReleasedSlotsAreZeroed(t *testing.T) {
 		e.ScheduleAt(Cycle(ringSize+100+i), func() {})
 	}
 	e.Run()
-	for idx := range e.ring {
-		b := &e.ring[idx]
-		if len(b.evs) != 0 || b.head != 0 {
-			t.Fatalf("bucket %d not reset: len=%d head=%d", idx, len(b.evs), b.head)
-		}
-		full := b.evs[:cap(b.evs)]
-		for j := range full {
-			if full[j].fn != nil || full[j].h != nil {
-				t.Fatalf("bucket %d slot %d retains a reference after release", idx, j)
-			}
-			if full[j].when != 0 || full[j].seq != 0 || full[j].p != (Payload{}) {
-				t.Fatalf("bucket %d slot %d not zeroed: %+v", idx, j, full[j])
-			}
-		}
+	if len(e.slab) == 0 {
+		t.Fatal("no ring event went through the slab")
+	}
+	checkSlabReleased(t, e, "drain")
+	if len(e.free) != len(e.slab) {
+		t.Fatalf("%d of %d slab slots on the free list after drain", len(e.free), len(e.slab))
 	}
 	full := e.overflow[:cap(e.overflow)]
 	for j := range full {
@@ -233,6 +225,84 @@ func TestReleasedSlotsAreZeroed(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after drain", e.Pending())
 	}
+}
+
+// checkSlabReleased fails unless every slab slot, up to its capacity, is
+// the zero event and the occupancy bitmap is clear.
+func checkSlabReleased(t *testing.T, e *Engine, after string) {
+	t.Helper()
+	full := e.slab[:cap(e.slab)]
+	for j := range full {
+		if full[j].fn != nil || full[j].h != nil {
+			t.Fatalf("slab slot %d retains a reference after %s", j, after)
+		}
+		if ev := full[j]; ev.when != 0 || ev.seq != 0 || ev.p != (Payload{}) || ev.next != 0 {
+			t.Fatalf("slab slot %d not zeroed after %s: %+v", j, after, full[j])
+		}
+	}
+	for w, word := range e.occ {
+		if word != 0 {
+			t.Fatalf("occupancy word %d = %#x after %s", w, word, after)
+		}
+	}
+}
+
+// A handler that schedules delay-0 events into the bucket it is draining
+// appends them behind the bucket's existing events: they run after those,
+// in seq order, and the occupancy bit clears exactly when the list empties.
+func TestDelayZeroIntoDrainingBucket(t *testing.T) {
+	e := NewEngine()
+	const at = Cycle(7)
+	idx := uint32(at) & ringMask
+	occupied := func() bool { return e.occ[idx>>6]&(1<<(idx&63)) != 0 }
+	var order []int
+	var bits []bool
+	run := func(id int) func() {
+		return func() {
+			order = append(order, id)
+			bits = append(bits, occupied())
+		}
+	}
+	spawned := 0
+	for i := 0; i < 3; i++ {
+		e.ScheduleAt(at, func() {
+			order = append(order, i)
+			bits = append(bits, occupied())
+			// The first two events each spawn two delay-0 children; the
+			// first child of the first spawn grows a grandchild.
+			if i < 2 {
+				for k := 0; k < 2; k++ {
+					id := 10 + spawned
+					spawned++
+					if id == 10 {
+						e.Schedule(0, func() {
+							order = append(order, id)
+							bits = append(bits, occupied())
+							e.Schedule(0, run(100))
+						})
+						continue
+					}
+					e.Schedule(0, run(id))
+				}
+			}
+		})
+	}
+	e.Run()
+	wantOrder := []int{0, 1, 2, 10, 11, 12, 13, 100}
+	if !slices.Equal(order, wantOrder) {
+		t.Fatalf("order = %v, want %v", order, wantOrder)
+	}
+	// The bit is observed from inside each handler, after its own slot was
+	// unlinked: set while any event of the bucket remains, clear for the
+	// last one only.
+	wantBits := []bool{true, true, true, true, true, true, true, false}
+	if !slices.Equal(bits, wantBits) {
+		t.Fatalf("occupancy seen by handlers = %v, want %v", bits, wantBits)
+	}
+	if e.Now() != at || e.Pending() != 0 {
+		t.Fatalf("now=%d pending=%d after drain", e.Now(), e.Pending())
+	}
+	checkSlabReleased(t, e, "drain")
 }
 
 // The occupancy bitmap must agree with the buckets after arbitrary
@@ -303,19 +373,10 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.wd != nil {
 		t.Fatalf("after Reset: now=%d pending=%d executed=%d watchdog=%v", e.Now(), e.Pending(), e.Executed(), e.wd != nil)
 	}
-	for w, word := range e.occ {
-		if word != 0 {
-			t.Fatalf("occupancy word %d = %#x after Reset", w, word)
-		}
+	if len(e.slab) != 0 || len(e.free) != 0 {
+		t.Fatalf("after Reset: slab len %d, free len %d, want 0", len(e.slab), len(e.free))
 	}
-	for idx := range e.ring {
-		full := e.ring[idx].evs[:cap(e.ring[idx].evs)]
-		for j := range full {
-			if full[j].fn != nil || full[j].h != nil {
-				t.Fatalf("bucket %d slot %d retains a reference after Reset", idx, j)
-			}
-		}
-	}
+	checkSlabReleased(t, e, "Reset")
 
 	fresh := NewEngine()
 	fr := &recorder{e: fresh}

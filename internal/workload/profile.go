@@ -93,7 +93,8 @@ type generator struct {
 
 	cursor    int // sequential-walk position in the private region
 	emitted   int
-	pending   []cpu.Instr
+	pending   cpu.Instr // second half of a write-after-read pair
+	hasPend   bool
 	lastValue uint64
 }
 
@@ -136,10 +137,9 @@ func (g *generator) dep() int {
 
 // Next implements cpu.TraceSource.
 func (g *generator) Next() (cpu.Instr, bool) {
-	if len(g.pending) > 0 {
-		ins := g.pending[0]
-		g.pending = g.pending[1:]
-		return ins, true
+	if g.hasPend {
+		g.hasPend = false
+		return g.pending, true
 	}
 	if g.emitted >= g.p.Instrs {
 		return cpu.Instr{}, false
@@ -157,8 +157,8 @@ func (g *generator) Next() (cpu.Instr, bool) {
 			if g.rng.Bool(g.p.WARFrac) {
 				// Write-after-read pair: the pattern whose E->M
 				// upgrade cost separates the protocols.
-				g.pending = append(g.pending,
-					cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: 1})
+				g.pending = cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: 1}
+				g.hasPend = true
 				return cpu.Instr{Op: cpu.OpLoad, Addr: addr}, true
 			}
 			return cpu.Instr{Op: cpu.OpStore, Addr: addr, Value: g.lastValue, Dep1: g.dep()}, true
