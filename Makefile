@@ -46,9 +46,10 @@ BENCHFILTER ?= .
 BENCHTAG    ?=
 BENCHDATE   := $(shell date +%Y-%m-%d)$(BENCHTAG)
 
-# benchdiff baseline: the newest committed record by default; override
-# with  make benchdiff BENCHBASE=BENCH_2026-08-05.json
-BENCHBASE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+# benchdiff baseline: the mesh record, the only committed one that holds
+# every current benchmark; override with
+#   make benchdiff BENCHBASE=BENCH_2026-08-05.json
+BENCHBASE ?= BENCH_2026-08-08-mesh.json
 
 .PHONY: check build test vet race bench bench-smoke benchdiff bench-gate serve serve-e2e fuzz fuzz-long soak chaos mcheck proto-verify cover staticcheck
 
@@ -182,7 +183,7 @@ mcheck: build
 #   5. the exhaustive model check of all four policies (see mcheck).
 proto-verify: build
 	$(GO) test -count=1 ./internal/proto
-	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
+	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyDecisions|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
 	$(GO) test -count=1 -run 'TestTablesComplete|TestTablesAreSharedWithDispatch|TestTransitionCoverage' ./internal/mcheck
 	$(GO) test -run=^$$ -fuzz=FuzzTableDispatch -fuzztime=$(FUZZTIME) ./internal/mcheck
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -artifacts '$(MCHECK_ARTIFACTS)'

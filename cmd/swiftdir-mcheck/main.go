@@ -91,7 +91,7 @@ func main() {
 				}
 			}
 		}
-		if *coverage && res.Table != nil {
+		if *coverage {
 			fmt.Println()
 			fmt.Print(res.Coverage())
 		}

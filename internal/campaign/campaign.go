@@ -239,26 +239,13 @@ func MustCollectCtx[T any](ctx context.Context, workers int, jobs []Job[T]) []T 
 // labelled with the failing jobs' names — after every job has finished,
 // so one diverging simulation cannot strand the rest of the grid.
 func Collect[T any](workers int, jobs []Job[T]) ([]T, error) {
-	results, _ := Run(workers, jobs)
-	values := make([]T, len(results))
-	var errs []error
-	for i, r := range results {
-		values[i] = r.Value
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("job %q: %w", r.Name, r.Err))
-		}
-	}
-	return values, errors.Join(errs...)
+	return CollectCtx(context.Background(), workers, jobs)
 }
 
 // MustCollect is Collect for the experiment functions, which follow the
 // package's panic-on-error convention.
 func MustCollect[T any](workers int, jobs []Job[T]) []T {
-	values, err := Collect(workers, jobs)
-	if err != nil {
-		panic(err)
-	}
-	return values
+	return MustCollectCtx(context.Background(), workers, jobs)
 }
 
 // pending accumulates summaries of completed campaigns until a frontend

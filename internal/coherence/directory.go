@@ -124,10 +124,9 @@ type bank struct {
 	lastAddr cache.Addr
 	lastEnt  *dirEntry
 
-	// arb, when the policy implements Arbiter, orders each transaction's
-	// queued requests by arbitration class (see enqueue). nil keeps the
-	// plain FIFO append, byte-identical to a build without arbitration.
-	arb Arbiter
+	// phasePriority orders each transaction's queued requests by
+	// arbitration class (see enqueue). false keeps the plain FIFO append.
+	phasePriority bool
 
 	// arbPromotions counts queued requests that were inserted ahead of at
 	// least one earlier arrival (kept outside BankStats: report surfaces
@@ -143,18 +142,17 @@ func newBank(id int, sys *System, params cache.Params) *bank {
 	// more of them than the bank has lines. Transactions and pins are
 	// few at any time, so their maps grow on demand.
 	esz := min(max(lines/4, 256), lines)
-	arb, _ := sys.Policy.(Arbiter)
 	b := &bank{
-		id:      id,
-		sys:     sys,
-		engine:  sys.Eng,
-		tab:     sys.table,
-		arr:     cache.NewArray(params),
-		entries: make(map[cache.Addr]*dirEntry, esz),
-		busy:    make(map[cache.Addr]*txn),
-		pinned:  make(map[cache.Addr]int),
-		image:   make(map[cache.Addr]uint64),
-		arb:     arb,
+		id:            id,
+		sys:           sys,
+		engine:        sys.Eng,
+		tab:           sys.Policy.table,
+		arr:           cache.NewArray(params),
+		entries:       make(map[cache.Addr]*dirEntry, esz),
+		busy:          make(map[cache.Addr]*txn),
+		pinned:        make(map[cache.Addr]int),
+		image:         make(map[cache.Addr]uint64),
+		phasePriority: sys.Policy.phasePriority,
 	}
 	b.reset()
 	return b
@@ -245,11 +243,17 @@ func (b *bank) eng() *sim.Engine { return b.engine }
 func (b *bank) timing() Timing   { return b.sys.Timing }
 func (b *bank) policy() Policy   { return b.sys.Policy }
 
-// send delivers a message to an L1 after delay. The final Hop of the
-// delay traverses the crossbar, so it is subject to port contention when
+// send delivers a message to an L1 after delay (see stage).
+func (b *bank) send(dst int, m Msg, delay sim.Cycle) { b.stage(opBankSendStage, dst, m, delay) }
+
+// stage hands m toward dst after delay. The final Hop of the delay
+// traverses the fabric, so it is subject to port contention when
 // LinkOccupancy is configured. The message rides two payload events — a
-// bank-local stage, then the crossbar — with the destination in Z.
-func (b *bank) send(dst int, m Msg, delay sim.Cycle) {
+// bank-local stage, then the fabric — with the destination in Z. op
+// names the stage's continuation: opBankSendStage delivers to L1 dst,
+// opBankSendStagePin delivers a pinned grant to L1 dst, and
+// opBankSendStageHub delivers to cluster hub dst.
+func (b *bank) stage(op uint8, dst int, m Msg, delay sim.Cycle) {
 	m.Src = DirID
 	hop := b.timing().Hop
 	var local sim.Cycle
@@ -259,47 +263,8 @@ func (b *bank) send(dst int, m Msg, delay sim.Cycle) {
 	if f := b.sys.faults; f != nil {
 		local += f.BankDelay(b.eng().Now())
 	}
-	p := m.payload(opBankSendStage)
+	p := m.payload(op)
 	p.Z = int32(dst)
-	b.eng().ScheduleEvent(local, b, p)
-}
-
-// sendPinned is send for grants with no follow-up unblock: the address
-// is pinned against LLC victim selection until delivery, then unpinned in
-// the same event that hands the message to the L1 (no window in between),
-// which is why the crossbar delivers the pinned payload back to the bank
-// rather than straight to the L1.
-func (b *bank) sendPinned(dst int, m Msg, delay sim.Cycle) {
-	b.pinned[m.Addr]++
-	m.Src = DirID
-	hop := b.timing().Hop
-	var local sim.Cycle
-	if delay > hop {
-		local = delay - hop
-	}
-	if f := b.sys.faults; f != nil {
-		local += f.BankDelay(b.eng().Now())
-	}
-	p := m.payload(opBankSendStagePin)
-	p.Z = int32(dst)
-	b.eng().ScheduleEvent(local, b, p)
-}
-
-// sendHub delivers a message to a cluster hub after delay (two-level
-// only; currently the Inv multicast). It mirrors send(): the final Hop of
-// the delay traverses the fabric, preceded by a bank-local stage.
-func (b *bank) sendHub(c int, m Msg, delay sim.Cycle) {
-	m.Src = DirID
-	hop := b.timing().Hop
-	var local sim.Cycle
-	if delay > hop {
-		local = delay - hop
-	}
-	if f := b.sys.faults; f != nil {
-		local += f.BankDelay(b.eng().Now())
-	}
-	p := m.payload(opBankSendStageHub)
-	p.Z = int32(c)
 	b.eng().ScheduleEvent(local, b, p)
 }
 
@@ -511,23 +476,23 @@ func (b *bank) onInvAck(m Msg) {
 	b.maybeComplete(m.Addr, t)
 }
 
-// enqueue parks a request behind addr's in-flight transaction. Without
-// an arbiter this is a FIFO append. With one, the request is inserted by
-// arbitration class (stable within a class), except that it never
+// enqueue parks a request behind addr's in-flight transaction. This is a
+// FIFO append, except under Phase-Priority: there the request is inserted
+// by arbitration class (stable within a class), except that it never
 // overtakes an earlier request from the same source: per-source order is
 // load-bearing — replaying a core's GETX ahead of its own still-queued
 // PUTX for the block would make the directory see its owner re-request
 // the block, a protocol violation.
 func (b *bank) enqueue(t *txn, m Msg) {
-	if b.arb == nil {
+	if !b.phasePriority {
 		t.queued = append(t.queued, m)
 		return
 	}
-	c := b.arb.QueueClass(m.Kind)
+	c := queueClass(m.Kind)
 	i := len(t.queued)
 	for i > 0 {
 		prev := t.queued[i-1]
-		if prev.Src == m.Src || b.arb.QueueClass(prev.Kind) <= c {
+		if prev.Src == m.Src || queueClass(prev.Kind) <= c {
 			break
 		}
 		i--
@@ -812,7 +777,13 @@ func (b *bank) ackUpgrade(m Msg, e *dirEntry) {
 	e.forwarder = -1
 	b.arr.Touch(m.Addr)
 	b.Stats.UpgradeAcks++
-	b.sendPinned(m.Src, Msg{Kind: MsgUpgradeAck, Addr: m.Addr}, b.respDelay())
+	// The grant carries no follow-up unblock, so the address is pinned
+	// against LLC victim selection until delivery, then unpinned in the
+	// same event that hands the message to the L1 (no window in between),
+	// which is why the fabric delivers the pinned payload back to the
+	// bank rather than straight to the L1.
+	b.pinned[m.Addr]++
+	b.stage(opBankSendStagePin, m.Src, Msg{Kind: MsgUpgradeAck, Addr: m.Addr}, b.respDelay())
 	if t, ok := b.busy[m.Addr]; ok {
 		b.maybeComplete(m.Addr, t)
 	}
@@ -830,7 +801,7 @@ func (b *bank) invalidate(addr cache.Addr, targets uint64, requestor int, t *txn
 		for c := 0; targets != 0; c++ {
 			if targets&1 != 0 {
 				e.sharers &^= bit(c)
-				b.sendHub(c, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
+				b.stage(opBankSendStageHub, c, Msg{Kind: MsgInv, Addr: addr, Requestor: requestor}, b.respDelay())
 			}
 			targets >>= 1
 		}

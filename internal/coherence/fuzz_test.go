@@ -21,8 +21,10 @@ func fuzzTimingConfig(p Policy, seed uint64) SystemConfig {
 	return cfg
 }
 
+// ExtendedPolicies includes Phase-Priority, the one policy that reorders
+// bank queues, so its arbitration runs under jitter too.
 func TestTimingFuzzAllProtocols(t *testing.T) {
-	for _, p := range AllPolicies {
+	for _, p := range ExtendedPolicies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
@@ -55,7 +57,7 @@ func TestTimingFuzzAllProtocols(t *testing.T) {
 // Sequential data-value check under jitter: even with perturbed message
 // timing, a serialized request stream must stay sequentially consistent.
 func TestTimingFuzzSequentialValues(t *testing.T) {
-	for _, p := range []Policy{MESI, SwiftDir, SMESI, MOESI, MESIF} {
+	for _, p := range ExtendedPolicies {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 6; seed++ {

@@ -189,7 +189,7 @@ func newL1(id int, sys *System, params cache.Params) *L1 {
 		eng:       sys.Eng,
 		timing:    sys.Timing,
 		policy:    sys.Policy,
-		tab:       sys.table,
+		tab:       sys.Policy.table,
 		arr:       cache.NewArray(params),
 		mshrs:     make(map[cache.Addr]*mshr),
 		wb:        make(map[cache.Addr]wbEntry),

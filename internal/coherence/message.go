@@ -2,7 +2,7 @@
 // coherence protocols the paper studies: the MESI baseline, the S-MESI
 // defense (Yao et al.), and SwiftDir. One shared state-machine
 // implementation — a per-core L1 controller and a banked LLC/directory
-// controller — is specialized by a small Policy interface that captures
+// controller — is specialized by a Policy whose feature row captures
 // exactly the three behavioural differences of Table IV:
 //
 //   - whether a store to an E-state L1 line upgrades silently (MESI,

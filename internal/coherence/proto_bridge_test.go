@@ -65,56 +65,3 @@ func TestProtoStateAlignment(t *testing.T) {
 		}
 	}
 }
-
-// TestProtoPolicyLinkage: each policy's feature-derived table agrees with
-// what its Policy implementation actually does — the vocabulary contains
-// GETS_WP iff write-protected loads request it, the (E, Store) next
-// states match SilentUpgrade, and DirE loads match ServeExclusiveFromLLC.
-func TestProtoPolicyLinkage(t *testing.T) {
-	for _, p := range ExtendedPolicies {
-		tab := proto.TableFor(p.Name())
-		if tab == nil {
-			t.Errorf("%s: no proto table registered", p.Name())
-			continue
-		}
-		wantWP := p.LoadRequest(true) == MsgGETSWP
-		gotWP := tab.Dir[proto.DirI][proto.EvGETSWP].Class == proto.Defined
-		if wantWP != gotWP {
-			t.Errorf("%s: GETS_WP in vocabulary=%v, policy uses it=%v",
-				p.Name(), gotWP, wantWP)
-		}
-		hasE := p.GrantExclusiveOnLoad(false)
-		if gotE := tab.L1[proto.L1E][proto.EvLoad].Class == proto.Defined; gotE != hasE {
-			t.Errorf("%s: L1 E row live=%v, policy grants E=%v", p.Name(), gotE, hasE)
-		}
-		if hasE {
-			ent := tab.L1[proto.L1E][proto.EvStore]
-			silentPlain := p.SilentUpgrade(false)
-			silentWP := p.SilentUpgrade(true) && p.GrantExclusiveOnLoad(true)
-			wantM := silentPlain || silentWP
-			wantEMA := !silentPlain || (p.GrantExclusiveOnLoad(true) && !p.SilentUpgrade(true))
-			if got := proto.HasL1(ent.Next, proto.L1M); got != wantM {
-				t.Errorf("%s: (E,Store) admits M=%v, policy silent-upgrades=%v",
-					p.Name(), got, wantM)
-			}
-			if got := proto.HasL1(ent.Next, proto.L1EMA); got != wantEMA {
-				t.Errorf("%s: (E,Store) admits EM^A=%v, policy needs it=%v",
-					p.Name(), got, wantEMA)
-			}
-			llcServe := p.ServeExclusiveFromLLC(false) || p.ServeExclusiveFromLLC(true)
-			if got := tab.L1[proto.L1I][proto.EvDowngrade].Class == proto.Defined; got != llcServe {
-				t.Errorf("%s: Downgrade in vocabulary=%v, policy LLC-serves E=%v",
-					p.Name(), got, llcServe)
-			}
-		}
-		owned := p.OwnershipTransfer()
-		if got := tab.Dir[proto.DirO][proto.EvGETX].Class == proto.Defined; got != owned {
-			t.Errorf("%s: DirO row live=%v, policy transfers ownership=%v",
-				p.Name(), got, owned)
-		}
-		fwd := p.ForwardStateFor(false) || p.ForwardStateFor(true)
-		if got := tab.L1[proto.L1F][proto.EvLoad].Class == proto.Defined; got != fwd {
-			t.Errorf("%s: L1 F row live=%v, policy uses Forward=%v", p.Name(), got, fwd)
-		}
-	}
-}

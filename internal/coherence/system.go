@@ -7,7 +7,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
-	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -115,8 +114,8 @@ func (c SystemConfig) Validate() error {
 		if c.Timing.SocketCores > 0 {
 			return fmt.Errorf("coherence: two-level directory is incompatible with NUMA socket distance")
 		}
-		if _, ok := c.Policy.(Arbiter); ok {
-			// A bank arbiter may promote a queued request ahead of an older
+		if c.Policy != nil && c.Policy.phasePriority {
+			// Phase-Priority may promote a queued request ahead of an older
 			// eviction notice from the same cluster, reordering the hub's
 			// emission order at the home and invalidating the hub's
 			// "cluster last" certification.
@@ -166,7 +165,6 @@ type System struct {
 	Mem    *dram.Memory
 
 	banks     []*bank
-	table     *proto.Table // canonical transition relation driving dispatch
 	mapper    *cache.BankMapper
 	tracer    *Tracer
 	msgCounts [MsgDataFromOwner + 1]uint64
@@ -262,7 +260,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 	s.Eng = sim.NewEngine()
-	s.table = tableForPolicy(cfg.Policy)
 	if mesh {
 		mcfg := interconnect.MeshConfig{
 			Ports:         ports,
@@ -540,9 +537,9 @@ func (s *System) BankStatsTotal() BankStats {
 	return t
 }
 
-// ArbPromotions sums, over all banks, the queued requests the arbiter
-// inserted ahead of at least one earlier arrival. Always 0 unless the
-// policy implements Arbiter.
+// ArbPromotions sums, over all banks, the queued requests Phase-Priority
+// arbitration inserted ahead of at least one earlier arrival. Always 0
+// under any other policy.
 func (s *System) ArbPromotions() uint64 {
 	var n uint64
 	for _, b := range s.banks {

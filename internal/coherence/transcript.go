@@ -39,14 +39,9 @@ type recFrame struct {
 	ev    proto.Event
 }
 
-// AttachRecorder wires a recorder into sys's four observation hooks. The
-// system's policy must have a registered proto table.
+// AttachRecorder wires a recorder into sys's four observation hooks.
 func AttachRecorder(sys *System) *TransitionRecorder {
-	tab := sys.ProtoTable()
-	if tab == nil {
-		panic(fmt.Sprintf("coherence: no proto table for policy %s", sys.Policy.Name()))
-	}
-	tr := &TransitionRecorder{sys: sys, tab: tab}
+	tr := &TransitionRecorder{sys: sys, tab: sys.Policy.Table()}
 	sys.Observe = tr.preMsg
 	sys.ObservePost = tr.postMsg
 	sys.ObserveCPU = tr.preCPU

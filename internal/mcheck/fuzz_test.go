@@ -52,14 +52,9 @@ func FuzzTableDispatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pb uint8, seq []byte) {
 		policies := coherence.ExtendedPolicies
 		p := policies[int(pb)%len(policies)]
-		cfg := Config{Policy: p, Cores: 2, Lines: 2, Depth: 24}
-		if err := cfg.fill(); err != nil {
+		c, err := newChecker(Config{Policy: p, Cores: 2, Lines: 2, Depth: 24})
+		if err != nil {
 			t.Fatal(err)
-		}
-		c := &checker{cfg: cfg, sysCfg: cfg.sysConfig(), observed: make(map[Pair]bool)}
-		c.ops = []Op{OpLoad, OpStore}
-		if cfg.wpEnabled() {
-			c.ops = append(c.ops, OpLoadWP)
 		}
 		if len(seq) > 96 {
 			seq = seq[:96]
@@ -72,7 +67,7 @@ func FuzzTableDispatch(f *testing.F) {
 		var taken []Action
 		var buf []Action
 		for _, b := range seq {
-			legal := fuzzEnabled(r, &cfg, c.ops, buf)
+			legal := fuzzEnabled(r, &c.cfg, c.ops, buf)
 			buf = legal
 			if len(legal) == 0 {
 				break

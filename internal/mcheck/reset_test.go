@@ -30,13 +30,9 @@ func TestRecycledRunnerMatchesFresh(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Depth = 16
-			if err := cfg.fill(); err != nil {
+			c, err := newChecker(cfg)
+			if err != nil {
 				t.Fatal(err)
-			}
-			c := &checker{cfg: cfg, sysCfg: cfg.sysConfig(), observed: make(map[Pair]bool)}
-			c.ops = []Op{OpLoad, OpStore}
-			if cfg.wpEnabled() {
-				c.ops = append(c.ops, OpLoadWP)
 			}
 			rng := sim.NewRNG(0x5EED)
 			recycled := c.newRunner()

@@ -47,7 +47,7 @@ type runner struct {
 	perCore   []int        // per core: accesses injected so far (token stream)
 	injected  int
 
-	table    *Table        // nil disables unexpected-transition checking
+	table    *Table
 	observed map[Pair]bool // shared across runners; nil disables recording
 
 	// frames brackets in-flight deliveries for next-state conformance:
@@ -87,7 +87,7 @@ func (c *checker) newRunner() *runner {
 		committed: make([]uint64, c.cfg.Lines),
 		out:       make([][]*pendAcc, c.cfg.Cores),
 		perCore:   make([]int, c.cfg.Cores),
-		table:     c.cfg.Table,
+		table:     c.table,
 		observed:  c.observed,
 	}
 	for i := range r.addrs {
@@ -95,10 +95,8 @@ func (c *checker) newRunner() *runner {
 	}
 	sys.Observe = r.observeMsg
 	sys.ObserveCPU = r.observeCPU
-	if r.table != nil && r.table.Proto != nil {
-		sys.ObservePost = r.observeMsgPost
-		sys.ObserveCPUPost = r.observeCPUPost
-	}
+	sys.ObservePost = r.observeMsgPost
+	sys.ObserveCPUPost = r.observeCPUPost
 	r.reset()
 	return r
 }
@@ -287,9 +285,7 @@ func (r *runner) observeMsg(m coherence.Msg, dst int) {
 		f.l1St = r.l1ProtoState(dst, m.Addr)
 		r.record(Pair{CtrlL1, f.l1St.String(), m.Kind.String()})
 	}
-	if r.table != nil && r.table.Proto != nil {
-		r.frames = append(r.frames, f)
-	}
+	r.frames = append(r.frames, f)
 }
 
 // observeCPU is the System.ObserveCPU hook: CPU examinations are
@@ -301,9 +297,7 @@ func (r *runner) observeCPU(port int, block cache.Addr, write bool) {
 	}
 	st := r.l1ProtoState(port, block)
 	r.record(Pair{CtrlL1, st.String(), ev.String()})
-	if r.table != nil && r.table.Proto != nil {
-		r.frames = append(r.frames, postFrame{id: port, addr: block, l1St: st, ev: ev})
-	}
+	r.frames = append(r.frames, postFrame{id: port, addr: block, l1St: st, ev: ev})
 }
 
 // observeMsgPost / observeCPUPost close the bracket opened by the pre
@@ -363,7 +357,7 @@ func (r *runner) record(p Pair) {
 	if r.observed != nil {
 		r.observed[p] = true
 	}
-	if r.table != nil && !r.table.Allowed[p] {
+	if !r.table.Allowed[p] {
 		r.fail("unexpected-transition", fmt.Sprintf(
 			"%s not in the %s transition relation", p, r.table.Policy))
 	}

@@ -11,19 +11,35 @@ const (
 	TriWPOnly // applies only to write-protected lines
 )
 
-// Features captures the policy axes that change the shape of the
-// transition relation. Everything else (timings, grant payload details)
-// lives in the action bodies and does not alter which pairs exist.
-// Registered policies get their tables from featuresOf; Build lets an
-// unregistered (experimental or fault-seeded) policy derive one from the
-// same axes.
+// For reports whether the feature applies to a line or request whose
+// write-protection bit is wp.
+func (t Tri) For(wp bool) bool {
+	switch t {
+	case TriAlways:
+		return true
+	case TriNoWP:
+		return !wp
+	case TriWPOnly:
+		return wp
+	}
+	return false
+}
+
+// Features is a policy's feature row: the axes that change the shape of
+// the transition relation, which are also the per-policy decisions the
+// controllers make at runtime (Table IV). Everything else (timings, grant
+// payload details) lives in the action bodies and does not alter which
+// pairs exist. Registered policies get their tables from the registry
+// below; Build lets an unregistered (experimental or fault-seeded) policy
+// derive one from the same axes.
 type Features struct {
 	// WPLoads: write-protected loads use the dedicated GETS_WP request
 	// kind (the SwiftDir family).
 	WPLoads bool
-	// HasE: the protocol grants Exclusive on unshared loads at all
-	// (false collapses the design to MSI: no L1 E, no DirE).
-	HasE bool
+	// Exclusive: the directory grants Exclusive on an unshared load:
+	// always, only for non-write-protected loads (the SwiftDir family's
+	// I→S rule, Figure 4(a)), or never (MSI: no L1 E, no DirE).
+	Exclusive Tri
 	// SilentE: a store hitting an E line upgrades silently to M
 	// (TriAlways), goes through an explicit EM^A upgrade (TriNever), or
 	// is silent only for non-write-protected lines (TriNoWP).
@@ -41,15 +57,18 @@ type Features struct {
 	Forward Tri
 }
 
+// hasE: the E state exists at all (L1 E, DirE).
+func (f Features) hasE() bool { return f.Exclusive != TriNever }
+
 // emaReachable: EM^A exists only when stores on E are not always silent.
-func (f Features) emaReachable() bool { return f.HasE && f.SilentE != TriAlways }
+func (f Features) emaReachable() bool { return f.hasE() && f.SilentE != TriAlways }
 
 // Build constructs a policy's full relation from its feature set in three
 // passes: vocabulary (whole-column Impossible), reachability (whole-row
 // Impossible), then the defined/defensive cells; finish() turns the
 // remainder into Illegal.
 func Build(name string, f Features) *Table {
-	t := &Table{Policy: name}
+	t := &Table{Policy: name, Features: f}
 
 	// --- vocabulary: events that never address each controller class.
 	for e := EvGETS; e <= EvWBData; e++ {
@@ -68,7 +87,7 @@ func Build(name string, f Features) *Table {
 	}
 
 	// --- reachability: states the policy can never construct.
-	if !f.HasE {
+	if !f.hasE() {
 		t.l1RowImpossible(L1E)
 		t.dirRowImpossible(DirE)
 	}
@@ -98,7 +117,7 @@ func buildL1(t *Table, f Features) {
 	live := func(s L1State) bool {
 		switch s {
 		case L1E:
-			return f.HasE
+			return f.hasE()
 		case L1O:
 			return f.Owned
 		case L1F:
@@ -129,7 +148,7 @@ func buildL1(t *Table, f Features) {
 		}
 	}
 	t.l1(Defined, L1M, EvStore, L1ActStoreHitM, L1M)
-	if f.HasE {
+	if f.hasE() {
 		switch f.SilentE {
 		case TriAlways:
 			t.l1(Defined, L1E, EvStore, L1ActStoreHitE, L1M)
@@ -165,7 +184,7 @@ func buildL1(t *Table, f Features) {
 		eGrant = append(eGrant, L1EMA)
 	}
 	exClass := Defined
-	if !f.HasE {
+	if !f.hasE() {
 		// MSI never grants E on a load, but the handler still installs
 		// an exclusive payload sanely if one were ever delivered.
 		exClass = Defensive
@@ -212,7 +231,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1I, EvFwdGETS, L1ActFwdGETS, L1I)
 	t.l1(Defined, L1ISD, EvFwdGETS, L1ActFwdGETS, L1ISD)
 	t.l1(Defined, L1IMD, EvFwdGETS, L1ActFwdGETS, L1IMD)
-	if f.HasE {
+	if f.hasE() {
 		cl := Defined
 		if f.LLCServeE == TriAlways {
 			cl = Defensive
@@ -249,7 +268,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1I, EvFwdGETX, L1ActFwdGETX, L1I)
 	t.l1(Defined, L1ISD, EvFwdGETX, L1ActFwdGETX, L1ISD)
 	t.l1(Defined, L1IMD, EvFwdGETX, L1ActFwdGETX, L1IMD)
-	if f.HasE {
+	if f.hasE() {
 		t.l1(Defined, L1E, EvFwdGETX, L1ActFwdGETX, L1I)
 	}
 	t.l1(Defined, L1M, EvFwdGETX, L1ActFwdGETX, L1I)
@@ -302,7 +321,7 @@ func buildL1(t *Table, f Features) {
 	t.l1(Defined, L1ISD, EvWBAck, L1ActWBAck, L1ISD)
 	t.l1(Defined, L1IMD, EvWBAck, L1ActWBAck, L1IMD)
 	for _, st := range []L1State{L1S, L1E, L1M, L1O, L1F, L1SMA, L1EMA} {
-		if st == L1E && !f.HasE || st == L1O && !f.Owned ||
+		if st == L1E && !f.hasE() || st == L1O && !f.Owned ||
 			st == L1F && f.Forward == TriNever ||
 			st == L1EMA && !f.emaReachable() {
 			continue
@@ -330,7 +349,7 @@ func buildDir(t *Table, f Features) {
 		t.dir(Defined, DirI, e, DirActFetchLoad, DirBusy)
 		t.dir(Defined, DirP, e, DirActGrantLoadP, DirBusy)
 		t.dir(Defined, DirS, e, DirActLoadS, DirBusy)
-		if f.HasE {
+		if f.hasE() {
 			t.dir(Defined, DirE, e, DirActLoadE, DirBusy)
 		}
 		t.dir(Defined, DirM, e, DirActLoadOwner, DirBusy)
@@ -342,7 +361,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvGETX, DirActFetchStore, DirBusy)
 	t.dir(Defined, DirP, EvGETX, DirActGrantStoreP, DirBusy)
 	t.dir(Defined, DirS, EvGETX, DirActStoreS, DirBusy)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvGETX, DirActStoreOwner, DirBusy)
 	}
 	t.dir(Defined, DirM, EvGETX, DirActStoreOwner, DirBusy)
@@ -357,7 +376,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvUpgrade, DirActUpgradeMiss, DirBusy)
 	t.dir(Defensive, DirP, EvUpgrade, DirActUpgradeMiss, DirBusy)
 	t.dir(Defined, DirS, EvUpgrade, DirActUpgradeS, DirM, DirBusy)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvUpgrade, DirActUpgradeOwner, DirM, DirBusy)
 	}
 	t.dir(Defined, DirM, EvUpgrade, DirActUpgradeOwner, DirM, DirBusy)
@@ -371,7 +390,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvPUTS, DirActPUTSStale, DirI)
 	t.dir(Defined, DirP, EvPUTS, DirActPUTS, DirP)
 	t.dir(Defined, DirS, EvPUTS, DirActPUTS, DirS, DirP)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defensive, DirE, EvPUTS, DirActPUTS, DirE)
 	}
 	t.dir(Defensive, DirM, EvPUTS, DirActPUTS, DirM)
@@ -382,7 +401,7 @@ func buildDir(t *Table, f Features) {
 	t.dir(Defined, DirI, EvPUTX, DirActPUTXStale, DirI)
 	t.dir(Defensive, DirP, EvPUTX, DirActPUTX, DirP)
 	t.dir(Defined, DirS, EvPUTX, DirActPUTX, DirS, DirP)
-	if f.HasE {
+	if f.hasE() {
 		t.dir(Defined, DirE, EvPUTX, DirActPUTX, DirP, DirE)
 	}
 	t.dir(Defined, DirM, EvPUTX, DirActPUTX, DirP, DirM)
@@ -399,43 +418,37 @@ func buildDir(t *Table, f Features) {
 	// A late Inv_Ack for a transaction that already completed is
 	// tolerated (dropped) at every idle state.
 	for _, s := range []DirState{DirI, DirP, DirS, DirE, DirM, DirO} {
-		if s == DirE && !f.HasE || s == DirO && !f.Owned {
+		if s == DirE && !f.hasE() || s == DirO && !f.Owned {
 			continue
 		}
 		t.dir(Defensive, s, EvInvAck, DirActInvAckStale, s)
 	}
 }
 
-// featuresOf maps each policy name to its feature set. The axes mirror
-// the coherence.Policy interface; a linkage test on the coherence side
-// asserts the two agree.
-var featuresOf = map[string]Features{
-	"MESI":           {HasE: true, SilentE: TriAlways},
-	"SwiftDir":       {WPLoads: true, HasE: true, SilentE: TriAlways},
-	"S-MESI":         {HasE: true, SilentE: TriNever, LLCServeE: TriAlways},
-	"SwiftDir-Ewp":   {WPLoads: true, HasE: true, SilentE: TriNoWP, LLCServeE: TriWPOnly},
-	"MOESI":          {HasE: true, SilentE: TriAlways, Owned: true},
-	"SwiftDir-MOESI": {WPLoads: true, HasE: true, SilentE: TriAlways, Owned: true},
-	"MESIF":          {HasE: true, SilentE: TriAlways, Forward: TriAlways},
-	"SwiftDir-MESIF": {WPLoads: true, HasE: true, SilentE: TriAlways, Forward: TriNoWP},
-	"MSI":            {},
+// registry holds every policy's feature row, in registration order.
+var registry = []struct {
+	name string
+	f    Features
+}{
+	{"MESI", Features{Exclusive: TriAlways, SilentE: TriAlways}},
+	{"SwiftDir", Features{WPLoads: true, Exclusive: TriNoWP, SilentE: TriAlways}},
+	{"S-MESI", Features{Exclusive: TriAlways, SilentE: TriNever, LLCServeE: TriAlways}},
+	{"SwiftDir-Ewp", Features{WPLoads: true, Exclusive: TriAlways, SilentE: TriNoWP, LLCServeE: TriWPOnly}},
+	{"MOESI", Features{Exclusive: TriAlways, SilentE: TriAlways, Owned: true}},
+	{"SwiftDir-MOESI", Features{WPLoads: true, Exclusive: TriNoWP, SilentE: TriAlways, Owned: true}},
+	{"MESIF", Features{Exclusive: TriAlways, SilentE: TriAlways, Forward: TriAlways}},
+	{"SwiftDir-MESIF", Features{WPLoads: true, Exclusive: TriNoWP, SilentE: TriAlways, Forward: TriNoWP}},
+	{"MSI", Features{}},
 	// Phase-priority arbitration reorders the directory's request queues;
 	// the transition relation is exactly MESI's (queued replays are not
 	// externally observable events).
-	"Phase-Priority": {HasE: true, SilentE: TriAlways},
-}
-
-// tableNames is the registration order, for deterministic listings.
-var tableNames = []string{
-	"MESI", "SwiftDir", "S-MESI", "SwiftDir-Ewp",
-	"MOESI", "SwiftDir-MOESI", "MESIF", "SwiftDir-MESIF", "MSI",
-	"Phase-Priority",
+	{"Phase-Priority", Features{Exclusive: TriAlways, SilentE: TriAlways}},
 }
 
 var tables = func() map[string]*Table {
-	m := make(map[string]*Table, len(tableNames))
-	for _, name := range tableNames {
-		m[name] = Build(name, featuresOf[name])
+	m := make(map[string]*Table, len(registry))
+	for _, r := range registry {
+		m[r.name] = Build(r.name, r.f)
 	}
 	return m
 }()
@@ -448,5 +461,9 @@ func TableFor(policy string) *Table {
 
 // Names returns every registered policy name in registration order.
 func Names() []string {
-	return append([]string(nil), tableNames...)
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
+	}
+	return names
 }
