@@ -1,6 +1,7 @@
 # Verify loop for the SwiftDir reproduction.
 #
-#   make check       — the full gate: vet + tests + race-detector pass
+#   make check       — the full gate: vet + gofmt + tests + race-detector pass
+#   make vet         — go vet, and fail if gofmt -l lists any tracked file
 #   make test        — tier-1: build + tests (what the seed guarantees)
 #   make race        — go test -race over every package (fan-out safety)
 #   make bench       — benchmark suite (-benchmem -count=6) -> BENCH_<date>.json
@@ -61,8 +62,12 @@ build:
 test: build
 	$(GO) test ./...
 
+# gofmt scans only tracked files, so build output such as .bench_build/
+# is never checked.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # -short skips the slowest full-suite runs; the race pass is about
 # catching cross-job sharing in the campaign fan-out, which the short
@@ -174,8 +179,7 @@ mcheck: build
 #      Phase-Priority structurally identical to MESI, lookups 0-alloc;
 #   2. the differential conformance harness — golden transcripts and
 #      table-vs-controller dispatch parity in internal/coherence, plus
-#      the steady-state/fast-path 0-alloc pins the refactor must not
-#      regress;
+#      the steady-state 0-alloc pins the refactor must not regress;
 #   3. the checker-side completeness and shared-instance tests and the
 #      4-policy transition-coverage matrix;
 #   4. a brief run of the table-dispatch fuzzer (regression corpus runs
@@ -183,7 +187,7 @@ mcheck: build
 #   5. the exhaustive model check of all four policies (see mcheck).
 proto-verify: build
 	$(GO) test -count=1 ./internal/proto
-	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyDecisions|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc|TestFastPathZeroAlloc' ./internal/coherence
+	$(GO) test -count=1 -run 'TestProtocolConformance|TestTranscriptGoldens|TestPolicyDecisions|TestSteadyStateL1HitZeroAlloc|TestSteadyStateMissZeroAlloc' ./internal/coherence
 	$(GO) test -count=1 -run 'TestTablesComplete|TestTablesAreSharedWithDispatch|TestTransitionCoverage' ./internal/mcheck
 	$(GO) test -run=^$$ -fuzz=FuzzTableDispatch -fuzztime=$(FUZZTIME) ./internal/mcheck
 	$(GO) run ./cmd/swiftdir-mcheck -policy all -artifacts '$(MCHECK_ARTIFACTS)'

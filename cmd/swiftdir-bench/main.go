@@ -109,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	campaign.SetWorkers(*jobs)
 	defer campaign.SetWorkers(0)
 	campaign.TakeSummaries() // start from a clean accounting slate
-	stats.TakeFastPaths()
 
 	var out io.Writer = stdout
 	if *outPath != "" {
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	params := experiments.Params{Scale: *scale, Samples: *samples, Bits: *bits, Passes: *passes}
 
 	var campaignTotal stats.CampaignSummary
-	var fpTotal stats.FastPathSummary
 	totalStart := time.Now()
 	failed := 0
 	for _, name := range selected {
@@ -168,24 +166,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				campaignTotal.Workers = sum.Workers
 			}
 		}
-		// Same rule for the fast-path split: observability only, stderr
-		// only, so stdout stays byte-identical with the fast path on or
-		// off (and at any -j).
-		if fp := stats.MergeFastPaths(name, stats.TakeFastPaths()); fp.Total() > 0 {
-			fmt.Fprintln(stderr, fp.Footer())
-			fpTotal.Fast += fp.Fast
-			fpTotal.Slow += fp.Slow
-		}
 	}
 
 	if len(selected) > 1 && len(campaignTotal.Jobs) > 0 {
 		campaignTotal.Label = "all"
 		campaignTotal.Wall = time.Since(totalStart)
 		fmt.Fprintln(stderr, campaignTotal.Footer())
-	}
-	if len(selected) > 1 && fpTotal.Total() > 0 {
-		fpTotal.Label = "all"
-		fmt.Fprintln(stderr, fpTotal.Footer())
 	}
 	if failed > 0 {
 		return 1

@@ -38,7 +38,7 @@ func msgCarrying(op uint8) bool {
 }
 
 // handlerName renders an event handler for the dump: this system's L1s,
-// banks, and fast-path completions by role, anything else by type.
+// banks, and hubs by role, anything else by type.
 func (s *System) handlerName(h sim.Handler) string {
 	switch v := h.(type) {
 	case *L1:
@@ -48,10 +48,6 @@ func (s *System) handlerName(h sim.Handler) string {
 	case *bank:
 		if v.sys == s {
 			return fmt.Sprintf("bank(%d)", v.id)
-		}
-	case *System:
-		if v == s {
-			return "system"
 		}
 	case *hub:
 		if v.sys == s {
@@ -78,9 +74,7 @@ func (s *System) DumpState() string {
 			return
 		}
 		name := "?"
-		if _, isSys := h.(*System); isSys && p.Op == sysOpFastDone {
-			name = "SysFastDone"
-		} else if int(p.Op) < len(opNames) && opNames[p.Op] != "" {
+		if int(p.Op) < len(opNames) && opNames[p.Op] != "" {
 			name = opNames[p.Op]
 		}
 		fmt.Fprintf(&sb, "  +%-6d %-9s %-17s", rel, s.handlerName(h), name)

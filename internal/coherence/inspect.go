@@ -149,8 +149,7 @@ func (s *System) MemRead(addr cache.Addr) uint64 { return s.memRead(addr) }
 func InitialToken(addr cache.Addr) uint64 { return initialToken(addr) }
 
 // HandlerID maps an event handler belonging to this system to a stable
-// small integer: L1 i -> i, bank j -> NumL1+j, the System itself (fast
-// path completions) -> NumL1+NumBanks, hub c -> NumL1+NumBanks+1+c.
+// small integer: L1 i -> i, bank j -> NumL1+j, hub c -> NumL1+NumBanks+c.
 // Handlers from other components return -1. Model checkers use it to
 // identify pending events without depending on pointer values.
 func (s *System) HandlerID(h sim.Handler) int {
@@ -163,13 +162,9 @@ func (s *System) HandlerID(h sim.Handler) int {
 		if v.sys == s {
 			return s.numL1 + v.id
 		}
-	case *System:
-		if v == s {
-			return s.numL1 + len(s.banks)
-		}
 	case *hub:
 		if v.sys == s {
-			return s.numL1 + len(s.banks) + 1 + v.id
+			return s.numL1 + len(s.banks) + v.id
 		}
 	}
 	return -1

@@ -247,3 +247,54 @@ func TestLitmusIRIW(t *testing.T) {
 		})
 	}
 }
+
+// TestLitmusUpgradeWAR: write-after-read across an upgrade (the paper's
+// §III concern). Port 1 shares a line port 0 last wrote; port 0 then
+// stores a new value through an upgrade. A read port 1 issues while the
+// upgrade is in flight is ordered either before the write (old value) or
+// after it (new value); once the store completes, the sharer must hold
+// the line Invalid and its re-read must return the new value.
+func TestLitmusUpgradeWAR(t *testing.T) {
+	const old, new_ = uint64(0xAA), uint64(0xBB)
+	for _, p := range coherence.AllPolicies {
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			for _, midRead := range []bool{false, true} {
+				s := litmusSystem(t, p, 0)
+				s.AccessSync(0, litmusX, true, false, old)
+				s.AccessSync(1, litmusX, false, false, 0) // port 1 joins as sharer
+				s.Quiesce()
+				if st := s.L1StateOf(1, litmusX); st == cache.Invalid {
+					t.Fatalf("setup: port 1 holds no copy")
+				}
+
+				storeDone, midDone := false, false
+				s.Submit(0, coherence.Access{Addr: litmusX, Write: true, Value: new_,
+					Done: func(coherence.AccessResult) { storeDone = true }})
+				s.Eng.RunFor(s.Timing.L1Tag + 1) // tag lookup done, Upgrade in the crossbar
+				if midRead {
+					s.Submit(1, coherence.Access{Addr: litmusX, Done: func(r coherence.AccessResult) {
+						midDone = true
+						if r.Value != old && r.Value != new_ {
+							t.Errorf("mid-upgrade read saw %#x, want %#x or %#x", r.Value, old, new_)
+						}
+					}})
+				}
+				s.Quiesce()
+				if !storeDone || midRead && !midDone {
+					t.Fatalf("midRead=%v: accesses never completed", midRead)
+				}
+				if st := s.L1StateOf(1, litmusX); !midRead && st != cache.Invalid {
+					t.Fatalf("sharer kept state %v after the upgrade, want I", st)
+				}
+				if got := s.AccessSync(1, litmusX, false, false, 0); got.Value != new_ {
+					t.Fatalf("midRead=%v: post-upgrade read saw %#x, want %#x", midRead, got.Value, new_)
+				}
+				s.Quiesce()
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -104,12 +104,6 @@ type Config struct {
 	// see coherence.PrefetchMode for the naive mode's security hazard).
 	Prefetch coherence.PrefetchMode
 
-	// NoFastPath forces every access through the event engine, disabling
-	// the synchronous L1-hit fast path (see DESIGN.md §5). Semantics and
-	// statistics are identical either way; the knob exists for the
-	// fast-vs-slow equivalence tests.
-	NoFastPath bool
-
 	// Shards exists only for the frozen perfbench harness, which pins it
 	// to 1. The machine always runs on one sequential event engine
 	// (DESIGN.md §5.1), so Validate accepts only 0 or 1, and the field is
@@ -248,17 +242,16 @@ func (c Config) Validate() error {
 // 2i+1 its I-cache, both coherent peers of the banked LLC.
 func (c Config) coherenceConfig() coherence.SystemConfig {
 	cfg := coherence.SystemConfig{
-		NumL1:      2 * c.Cores,
-		L1Params:   c.L1,
-		LLCParams:  c.L2Bank,
-		Banks:      c.Cores,
-		Timing:     c.Timing,
-		Policy:     c.Protocol,
-		DRAM:       c.DRAM,
-		Prefetch:   c.Prefetch,
-		NoFastPath: c.NoFastPath,
-		Faults:     c.Faults,
-		Clusters:   c.Clusters,
+		NumL1:     2 * c.Cores,
+		L1Params:  c.L1,
+		LLCParams: c.L2Bank,
+		Banks:     c.Cores,
+		Timing:    c.Timing,
+		Policy:    c.Protocol,
+		DRAM:      c.DRAM,
+		Prefetch:  c.Prefetch,
+		Faults:    c.Faults,
+		Clusters:  c.Clusters,
 	}
 	if c.Topology == "mesh" {
 		cfg.Topology = "mesh"

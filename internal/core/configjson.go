@@ -44,8 +44,6 @@ type configJSON struct {
 	Protocol string           `json:"protocol"`
 	DRAM     dram.Config      `json:"dram"`
 	Prefetch string           `json:"prefetch,omitempty"`
-
-	NoFastPath bool `json:"no_fast_path,omitempty"`
 }
 
 func prefetchFromString(s string) (coherence.PrefetchMode, error) {
@@ -90,8 +88,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		WalkThroughCaches: c.WalkThroughCaches,
 		FastCoWWrites:     c.FastCoWWrites, WriteBufferLatency: c.WriteBufferLatency,
 		Timing: c.Timing, Protocol: proto, DRAM: c.DRAM,
-		Prefetch:   c.Prefetch.String(),
-		NoFastPath: c.NoFastPath,
+		Prefetch: c.Prefetch.String(),
 	})
 }
 
@@ -133,8 +130,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		WalkThroughCaches: j.WalkThroughCaches,
 		FastCoWWrites:     j.FastCoWWrites, WriteBufferLatency: j.WriteBufferLatency,
 		Timing: j.Timing, Protocol: proto, DRAM: j.DRAM,
-		Prefetch:   pf,
-		NoFastPath: j.NoFastPath,
+		Prefetch: pf,
 	}
 	return nil
 }

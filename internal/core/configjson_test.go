@@ -61,7 +61,8 @@ func TestConfigJSONRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ name, key string }{
 		{"removed prefault knob", `"prefault":true`},
 		{"removed shards knob", `"shards":4`},
-		{"misspelled key", `"no_fastpath":true`},
+		{"removed no_fast_path knob", `"no_fast_path":true`},
+		{"misspelled key", `"fast_cow_write":true`},
 		{"misspelled nested key", `"timing":{"LLCTagg":3}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

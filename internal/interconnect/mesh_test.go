@@ -138,7 +138,10 @@ func TestMeshXYRandomTrafficDrains(t *testing.T) {
 		recs = append(recs, r)
 		m.Send(src, dst, func() { r.got = eng.Now() })
 		if i%5 == 0 {
-			eng.RunTo(eng.Now() + 1)
+			// A no-op event pins the clock: RunFor lands exactly one
+			// cycle later even when the queue would drain first.
+			eng.Schedule(1, func() {})
+			eng.RunFor(1)
 		}
 	}
 	eng.Run()
@@ -182,8 +185,10 @@ func TestMesh1x1EquivalentToCrossbar(t *testing.T) {
 			x.Send(src, dst, func() { xa = append(xa, engX.Now()) })
 			m.Send(src, dst, func() { ma = append(ma, engM.Now()) })
 			if i%7 == 0 {
-				engX.RunTo(engX.Now() + 2)
-				engM.RunTo(engM.Now() + 2)
+				for _, e := range []*sim.Engine{engX, engM} {
+					e.Schedule(2, func() {})
+					e.RunFor(2)
+				}
 			}
 		}
 		engX.Run()

@@ -366,9 +366,6 @@ func (s *Server) runRegistry(ctx context.Context, key resultcache.Key) (*resultc
 		sum.Wall = wall
 		side.WriteString(sum.Footer() + "\n")
 	}
-	if fp := stats.MergeFastPaths(key.Experiment, stats.TakeFastPaths()); fp.Total() > 0 {
-		side.WriteString(fp.Footer() + "\n")
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -407,19 +407,6 @@ func (e *Engine) RunUntil(limit Cycle) Cycle {
 // RunFor executes events for the next d cycles.
 func (e *Engine) RunFor(d Cycle) Cycle { return e.RunUntil(e.now + d) }
 
-// RunTo is RunUntil with an unconditional clock advance: after executing
-// every event with timestamp <= t, the clock lands exactly on t even if
-// the queue drained first. Synchronous callers that complete work without
-// scheduling events (the coherence fast path) use it so simulated time
-// passes identically to the event path.
-func (e *Engine) RunTo(t Cycle) Cycle {
-	e.RunUntil(t)
-	if e.now < t {
-		e.advanceTo(t)
-	}
-	return e.now
-}
-
 // RunWhile executes events while cond returns true and events remain.
 // It returns the final cycle.
 func (e *Engine) RunWhile(cond func() bool) Cycle {

@@ -112,7 +112,6 @@ func RunKernel(k Kernel, protocol coherence.Policy, kind CPUKind, bytes int) (Re
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	publishFastPath(k.Name, protocol.Name(), m)
 	res := Result{
 		Benchmark:  k.Name,
 		Protocol:   protocol.Name(),

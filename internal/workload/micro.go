@@ -62,7 +62,6 @@ func RunReadOnlyCancel(amount int, protocol coherence.Policy, kind CPUKind, c *s
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	publishFastPath(fmt.Sprintf("readonly-%d", amount), protocol.Name(), m)
 	return Result{
 		Benchmark:  fmt.Sprintf("readonly-%d", amount),
 		Protocol:   protocol.Name(),
@@ -200,7 +199,6 @@ func RunWARCancel(app WARApp, protocol coherence.Policy, kind CPUKind, passes in
 	if err := m.CheckInvariants(); err != nil {
 		return Result{}, err
 	}
-	publishFastPath(app.Name, protocol.Name(), m)
 	return Result{
 		Benchmark:  app.Name,
 		Protocol:   protocol.Name(),

@@ -63,7 +63,6 @@ func RunMultiprogram(profiles []Profile, protocol coherence.Policy, kind CPUKind
 		return Result{}, fmt.Errorf("multiprogram [%s] on %s: %w",
 			strings.Join(names, ","), protocol.Name(), err)
 	}
-	publishFastPath("mix("+strings.Join(names, "+")+")", protocol.Name(), m)
 	res := Result{
 		Benchmark:  "mix(" + strings.Join(names, "+") + ")",
 		Protocol:   protocol.Name(),
